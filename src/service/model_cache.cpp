@@ -141,16 +141,22 @@ ModelCache::ModelPtr ModelCache::build_miss(const CacheKey& key, const Builder& 
     const std::string hex = key.hex();
     Shard& sh = shard(key);
 
-    // Disk probe first: another thread/process may have persisted the model
-    // since our memory miss.
-    if (disk_) {
-        if (ModelPtr m = disk_->load(hex)) {
+    // A persisted artifact becomes a memory entry and counts as a disk hit.
+    const auto probe_disk = [&]() -> ModelPtr {
+        ModelPtr m = disk_->load(hex);
+        if (m) {
             util::MutexLock lock(sh.mutex);
             ++sh.stats.disk_hits;
             sh.consecutive_failures.erase(key.value);
             insert_locked(sh, key, m);
-            return m;
         }
+        return m;
+    };
+
+    // Disk probe first: another thread/process may have persisted the model
+    // since our memory miss.
+    if (disk_) {
+        if (ModelPtr m = probe_disk()) return m;
     }
 
     // Cross-process single-flight: hold the key's file lock for the build.
@@ -160,13 +166,7 @@ ModelCache::ModelPtr ModelCache::build_miss(const CacheKey& key, const Builder& 
     util::FileLock build_lock;
     if (disk_) {
         build_lock = disk_->lock_key(hex);
-        if (ModelPtr m = disk_->load(hex)) {
-            util::MutexLock lock(sh.mutex);
-            ++sh.stats.disk_hits;
-            sh.consecutive_failures.erase(key.value);
-            insert_locked(sh, key, m);
-            return m;
-        }
+        if (ModelPtr m = probe_disk()) return m;
     }
 
     ModelPtr model;

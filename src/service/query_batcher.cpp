@@ -14,36 +14,6 @@ namespace varmor::service {
 
 namespace {
 
-/// Pending queries sharing one parameter point: the engines amortize the
-/// per-sample work (stamp + Hessenberg preparation) across the group.
-template <class ItemT>
-struct Group {
-    const std::vector<double>* p = nullptr;
-    std::vector<ItemT*> items;  ///< arrival order within the group
-};
-
-/// Groups items by EXACT parameter vector, first-seen order. Exact equality
-/// is deliberate: near-equal points must not alias (their answers differ),
-/// and grouping affects only amortization, never results.
-template <class ItemT>
-std::vector<Group<ItemT>> group_by_point(std::vector<ItemT>& items) {
-    std::vector<Group<ItemT>> groups;
-    for (ItemT& item : items) {
-        Group<ItemT>* hit = nullptr;
-        for (Group<ItemT>& g : groups)
-            if (*g.p == item.p) {
-                hit = &g;
-                break;
-            }
-        if (!hit) {
-            groups.push_back(Group<ItemT>{&item.p, {}});
-            hit = &groups.back();
-        }
-        hit->items.push_back(&item);
-    }
-    return groups;
-}
-
 std::string point_detail(const std::vector<double>& p) {
     return p.empty() ? std::string() : std::to_string(p[0]);
 }
@@ -51,12 +21,79 @@ std::string point_detail(const std::vector<double>& p) {
 /// Chunk count for fanning `n` lane units into the combined task set:
 /// mirrors the pool's own oversubscription so the work-stealing scheduler
 /// has slack to interleave lanes, without one task per unit.
-int lane_chunks(int n, int threads) {
+std::size_t lane_chunks(std::size_t n, int threads) {
     const int width = threads == 1
                           ? 1
                           : (threads > 1 ? threads : util::ThreadPool::global().size());
-    return std::min(n, std::max(1, width * util::ThreadPool::kChunksPerWorker));
+    return std::min(n, static_cast<std::size_t>(
+                           std::max(1, width * util::ThreadPool::kChunksPerWorker)));
 }
+
+// Lane policies for QueryBatcher::run_chunk. prepare(p, scratch) runs once
+// per point group, and only when kStamps; solve(arg, p, scratch) runs once
+// per query and returns its answer or throws. make_scratch() gives each
+// chunk task its own scratch.
+
+/// Transfer and pole queries on the ROM: the stamp of G~(p), C~(p) (with the
+/// engine's Hessenberg preparation) is shared by the whole point group.
+struct RomPolicy {
+    static constexpr bool kStamps = true;
+    const mor::RomEvalEngine* engine;
+
+    mor::RomEvalWorkspace make_scratch() const { return {}; }
+    void prepare(const std::vector<double>& p, mor::RomEvalWorkspace& ws) const {
+        VARMOR_FAULT_POINT_DETAIL("query_batcher.stamp", point_detail(p));
+        engine->stamp_parameters(p, ws);
+    }
+    la::ZMatrix solve(la::cplx s, const std::vector<double>&,
+                      mor::RomEvalWorkspace& ws) const {
+        return engine->transfer(s, ws);
+    }
+    std::vector<la::cplx> solve(std::monostate, const std::vector<double>&,
+                                mor::RomEvalWorkspace& ws) const {
+        return engine->poles(ws);
+    }
+};
+
+/// Degraded transfer and pole queries: exact full-pencil evaluation of each
+/// query, with nothing shared to prepare.
+struct FullPencilPolicy {
+    static constexpr bool kStamps = false;
+    const QueryFallbacks* fallbacks;
+
+    std::monostate make_scratch() const { return {}; }
+    la::ZMatrix solve(la::cplx s, const std::vector<double>& p, std::monostate) const {
+        return fallbacks->transfer(p, s);
+    }
+    std::vector<la::cplx> solve(std::monostate, const std::vector<double>& p,
+                                std::monostate) const {
+        return fallbacks->poles(p);
+    }
+};
+
+/// Delay queries: one captured transient run per corner (one refactorization
+/// each) on the flush's shared forcing series. A corner's own failure fails
+/// its query only, and every other answer comes from this same batch —
+/// never from a re-run.
+struct DelayPolicy {
+    static constexpr bool kStamps = false;
+    const analysis::TransientBatchRunner* runner;
+    const std::vector<la::Vector>* forcing;
+    int observe;
+    double level;
+
+    analysis::TransientBatchRunner::Scratch make_scratch() const {
+        return runner->make_scratch();
+    }
+    DelayResult solve(std::monostate, const std::vector<double>& p,
+                      analysis::TransientBatchRunner::Scratch& scratch) const {
+        analysis::TransientBatchRunner::CornerOutcome outcome =
+            runner->run_corner_captured(p, *forcing, scratch);
+        if (outcome.error) std::rethrow_exception(outcome.error);
+        return DelayResult{analysis::crossing_time(*outcome.result, observe, level),
+                           level};
+    }
+};
 
 }  // namespace
 
@@ -71,19 +108,18 @@ QueryBatcher::QueryBatcher(const mor::RomEvalEngine* engine, QueryFallbacks fall
       level_(delay_level),
       opts_(opts),
       queue_(static_cast<std::size_t>(std::max(0, opts.max_pending))),
+      transfer_("transfer", obs::Registry::global().histogram("transfer.latency_ns")),
+      pole_("pole", obs::Registry::global().histogram("pole.latency_ns")),
+      delay_("delay", obs::Registry::global().histogram("delay.latency_ns")),
       obs_queue_wait_(obs::Registry::global().histogram("query.queue_wait_ns")),
       obs_stamp_(obs::Registry::global().histogram("query.stamp_ns")),
       obs_solve_(obs::Registry::global().histogram("query.solve_ns")),
-      obs_fulfil_(obs::Registry::global().histogram("query.fulfil_ns")),
-      obs_transfer_latency_(
-          obs::Registry::global().histogram("transfer.latency_ns")),
-      obs_delay_latency_(obs::Registry::global().histogram("delay.latency_ns")),
-      obs_pole_latency_(obs::Registry::global().histogram("pole.latency_ns")) {
+      obs_fulfil_(obs::Registry::global().histogram("query.fulfil_ns")) {
     check(opts_.max_batch >= 1, "QueryBatcher: max_batch must be >= 1");
     check(opts_.max_wait_ms >= 0.0, "QueryBatcher: max_wait_ms must be >= 0");
     check(opts_.max_pending >= 0, "QueryBatcher: max_pending must be >= 0");
-    check(engine_ != nullptr || fallbacks_.transfer || fallbacks_.poles,
-          "QueryBatcher: no engine and no fallback paths");
+    check(engine_ != nullptr || (fallbacks_.transfer && fallbacks_.poles),
+          "QueryBatcher: degraded serving needs both fallback paths");
     if (transient_) {
         observe_ = observe_port < 0 ? transient_->num_ports() - 1 : observe_port;
         check(observe_ >= 0 && observe_ < transient_->num_ports(),
@@ -108,26 +144,26 @@ void QueryBatcher::close() {
     if (flusher_.joinable()) flusher_.join();
 }
 
-template <class ItemT, class ResultT>
-Future<ResultT> QueryBatcher::admit(util::ResultSlab<ResultT>& slab, ItemT item) {
-    auto opened = slab.open();
-    item.result = opened.first;
+template <class Arg, class Result>
+Future<Result> QueryBatcher::admit(Lane<Arg, Result>& lane, Query<Arg, Result> query) {
+    auto opened = lane.slab.open();
+    query.result = opened.first;
     // The query's trace is born HERE, on the submitting thread: the mint
     // stamps submit time, and every later stage appends to this one object
-    // as it rides through triage and the flush lanes. Inactive (id 0, no
+    // as it rides through triage and the chunk runner. Inactive (id 0, no
     // clock read) when telemetry is off.
-    item.trace = obs::QueryTrace::mint();
-    if (item.deadline.expired()) {
+    query.trace = obs::QueryTrace::mint();
+    if (query.deadline.expired()) {
         {
             util::MutexLock lock(stats_mutex_);
             ++stats_.expired;
         }
-        slab.set_error(opened.first,
-                       std::make_exception_ptr(DeadlineExceeded(
-                           "QueryBatcher: deadline expired before admission")));
+        lane.slab.set_error(opened.first,
+                            std::make_exception_ptr(DeadlineExceeded(
+                                "QueryBatcher: deadline expired before admission")));
         return std::move(opened.second);
     }
-    Item wrapped(std::move(item));
+    Item wrapped(std::move(query));
     // try_push moves from `wrapped` only on kOk — on rejection the channel
     // (a POD handle we still hold) is failed cleanly. The submitting thread
     // NEVER sees a throw for load or lifecycle; everything arrives through
@@ -140,10 +176,10 @@ Future<ResultT> QueryBatcher::admit(util::ResultSlab<ResultT>& slab, ItemT item)
                 util::MutexLock lock(stats_mutex_);
                 ++stats_.shed;
             }
-            slab.set_error(opened.first, std::make_exception_ptr(OverloadError(
-                                             "QueryBatcher: shed — " +
-                                             std::to_string(opts_.max_pending) +
-                                             " queries already pending")));
+            lane.slab.set_error(opened.first, std::make_exception_ptr(OverloadError(
+                                                  "QueryBatcher: shed — " +
+                                                  std::to_string(opts_.max_pending) +
+                                                  " queries already pending")));
             break;
         }
         case util::PushStatus::kClosed: {
@@ -151,8 +187,8 @@ Future<ResultT> QueryBatcher::admit(util::ResultSlab<ResultT>& slab, ItemT item)
                 util::MutexLock lock(stats_mutex_);
                 ++stats_.rejected_closed;
             }
-            slab.set_error(opened.first, std::make_exception_ptr(ServiceClosed(
-                                             "QueryBatcher: submit after close")));
+            lane.slab.set_error(opened.first, std::make_exception_ptr(ServiceClosed(
+                                                  "QueryBatcher: submit after close")));
             break;
         }
     }
@@ -161,21 +197,18 @@ Future<ResultT> QueryBatcher::admit(util::ResultSlab<ResultT>& slab, ItemT item)
 
 Future<la::ZMatrix> QueryBatcher::submit_transfer(std::vector<double> p, la::cplx s,
                                                   util::Deadline deadline) {
-    return admit<TransferItem, la::ZMatrix>(transfer_slab_,
-                                            TransferItem{std::move(p), s, deadline, {}});
+    return admit(transfer_, {std::move(p), s, deadline, {}, {}});
 }
 
 Future<DelayResult> QueryBatcher::submit_delay(std::vector<double> p,
                                                util::Deadline deadline) {
     check(transient_ != nullptr, "QueryBatcher: no transient runner configured");
-    return admit<DelayItem, DelayResult>(delay_slab_,
-                                         DelayItem{std::move(p), deadline, {}});
+    return admit(delay_, {std::move(p), {}, deadline, {}, {}});
 }
 
 Future<std::vector<la::cplx>> QueryBatcher::submit_poles(std::vector<double> p,
                                                          util::Deadline deadline) {
-    return admit<PoleItem, std::vector<la::cplx>>(pole_slab_,
-                                                  PoleItem{std::move(p), deadline, {}});
+    return admit(pole_, {std::move(p), {}, deadline, {}, {}});
 }
 
 void QueryBatcher::flush() {
@@ -202,88 +235,63 @@ void QueryBatcher::flusher_loop() {
         std::optional<Item> first = queue_.pop();
         if (!first) break;  // closed and drained
 
-        std::vector<TransferItem> transfers;
-        std::vector<DelayItem> delays;
-        std::vector<PoleItem> poles;
         std::vector<FlushItem> acks;
         int nqueries = 0;
-        // Sorts one popped item into its lane; true = flush marker (stop
-        // collecting so the marker's "everything before me" promise holds).
-        // Deadline triage happens HERE: a query that expired while queued is
-        // completed with DeadlineExceeded now instead of riding a batch
-        // whose result it can no longer use.
-        auto take = [&](Item&& item) -> bool {
-            if (std::holds_alternative<FlushItem>(item)) {
-                acks.push_back(std::get<FlushItem>(item));
+        // Sorts one popped item into its lane's point group; true = flush
+        // marker (stop collecting so the marker's "everything before me"
+        // promise holds). Deadline triage happens HERE: a query that expired
+        // while queued is completed with DeadlineExceeded now instead of
+        // riding a batch whose result it can no longer use.
+        auto take = [&](Item& item) -> bool {
+            if (const auto* ack = std::get_if<FlushItem>(&item)) {
+                acks.push_back(*ack);
                 return true;
             }
             // Triage IS the end of the queue-wait stage: one clock read per
             // popped item (telemetry on only), shared by the span and the
             // expiry records below.
-            const std::int64_t tnow =
-                obs::enabled() ? util::Timer::now_ns() : 0;
-            const bool expired = std::visit(
-                [](const auto& it) {
-                    if constexpr (std::is_same_v<std::decay_t<decltype(it)>, FlushItem>)
-                        return false;
-                    else
-                        return it.deadline.expired();
-                },
-                item);
-            if (expired) {
-                // Count BEFORE failing the channel (same order as admit):
-                // a stats() read right after this ticket resolves must
-                // already see the expiry.
-                {
-                    util::MutexLock lock(stats_mutex_);
-                    ++stats_.expired;
+            const std::int64_t tnow = obs::enabled() ? util::Timer::now_ns() : 0;
+            for_each_lane([&](auto& lane) {
+                auto* query =
+                    std::get_if<typename std::decay_t<decltype(lane)>::QueryT>(&item);
+                if (query == nullptr) return;
+                obs::QueryTrace& trace = query->trace;
+                if (query->deadline.expired()) {
+                    // Count BEFORE failing the channel (same order as admit):
+                    // a stats() read right after this ticket resolves must
+                    // already see the expiry.
+                    {
+                        util::MutexLock lock(stats_mutex_);
+                        ++stats_.expired;
+                    }
+                    // An expired query's trace still tells its story: all
+                    // queue-wait, resolved as a failure, recorded now (it
+                    // will never reach a chunk).
+                    if (trace.active()) {
+                        trace.add(obs::Stage::kQueueWait, trace.submit_ns, tnow);
+                        trace.ok = false;
+                        if (tnow != 0) obs_queue_wait_.record(tnow - trace.submit_ns);
+                        obs::TraceStore::global().record(trace, lane.name);
+                    }
+                    lane.slab.set_error(
+                        query->result,
+                        std::make_exception_ptr(DeadlineExceeded(
+                            "QueryBatcher: deadline expired in the queue")));
+                    return;
                 }
-                // An expired query's trace still tells its story: all
-                // queue-wait, resolved as a failure, recorded now (it will
-                // never reach a flush lane).
-                auto expire_trace = [&](obs::QueryTrace& trace,
-                                        const char* lane) {
-                    if (!trace.active()) return;
-                    trace.add(obs::Stage::kQueueWait, trace.submit_ns, tnow);
-                    trace.ok = false;
-                    if (tnow != 0)
-                        obs_queue_wait_.record(tnow - trace.submit_ns);
-                    obs::TraceStore::global().record(trace, lane);
-                };
-                const auto error = std::make_exception_ptr(DeadlineExceeded(
-                    "QueryBatcher: deadline expired in the queue"));
-                if (auto* t = std::get_if<TransferItem>(&item)) {
-                    expire_trace(t->trace, "transfer");
-                    transfer_slab_.set_error(t->result, error);
-                } else if (auto* d = std::get_if<DelayItem>(&item)) {
-                    expire_trace(d->trace, "delay");
-                    delay_slab_.set_error(d->result, error);
-                } else if (auto* q = std::get_if<PoleItem>(&item)) {
-                    expire_trace(q->trace, "pole");
-                    pole_slab_.set_error(q->result, error);
-                }
-                return false;
-            }
-            if (tnow != 0)
-                std::visit(
-                    [&](auto& it) {
-                        if constexpr (!std::is_same_v<std::decay_t<decltype(it)>,
-                                                      FlushItem>)
-                            it.trace.add(obs::Stage::kQueueWait,
-                                         it.trace.submit_ns, tnow);
-                    },
-                    item);
-            ++nqueries;
-            if (std::holds_alternative<TransferItem>(item))
-                transfers.push_back(std::get<TransferItem>(std::move(item)));
-            else if (std::holds_alternative<DelayItem>(item))
-                delays.push_back(std::get<DelayItem>(std::move(item)));
-            else
-                poles.push_back(std::get<PoleItem>(std::move(item)));
+                if (tnow != 0) trace.add(obs::Stage::kQueueWait, trace.submit_ns, tnow);
+                ++nqueries;
+                auto group = std::find_if(
+                    lane.groups.begin(), lane.groups.end(),
+                    [&](const auto& g) { return g.front().p == query->p; });
+                if (group == lane.groups.end())
+                    group = lane.groups.emplace(lane.groups.end());
+                group->push_back(std::move(*query));
+            });
             return false;
         };
 
-        bool stop = take(std::move(*first));
+        bool stop = take(*first);
         if (!stop && nqueries > 0) {
             // The deadline half of the policy: collect until max_wait_ms
             // after the batch's FIRST query, or until the size trigger / a
@@ -295,7 +303,7 @@ void QueryBatcher::flusher_loop() {
             while (nqueries < opts_.max_batch) {
                 std::optional<Item> item = queue_.pop_until(deadline);
                 if (!item) break;  // deadline passed, or closed and drained
-                if (take(std::move(*item))) break;
+                if (take(*item)) break;
             }
         }
 
@@ -318,336 +326,172 @@ void QueryBatcher::flusher_loop() {
         // members.
         try {
             VARMOR_FAULT_POINT("query_batcher.flush");
-            execute(transfers, delays, poles);
+            execute();
         } catch (...) {
+            // A whole-batch failure can only be thrown BEFORE the chunk
+            // tasks run (their bodies catch internally), so no trace here
+            // was finished yet.
             const std::exception_ptr error = std::current_exception();
-            {
-                // Batch sweep: tolerant per entry, so members that already
-                // answered keep their values; one wake-up per lane.
-                util::ResultSlab<la::ZMatrix>::Batch tb(transfer_slab_);
-                util::ResultSlab<DelayResult>::Batch db(delay_slab_);
-                util::ResultSlab<std::vector<la::cplx>>::Batch pb(pole_slab_);
-                for (TransferItem& item : transfers) tb.set_error(item.result, error);
-                for (DelayItem& item : delays) db.set_error(item.result, error);
-                for (PoleItem& item : poles) pb.set_error(item.result, error);
-            }
-            // A whole-batch failure can only be thrown BEFORE the lane tasks
-            // run (their bodies catch internally), so no trace here was
-            // finished yet — close them all out as failures.
-            if (obs::enabled()) {
-                const std::int64_t tf = util::Timer::now_ns();
-                for (TransferItem& item : transfers) {
-                    item.trace.ok = false;
-                    finish_trace(item.trace, "transfer", obs_transfer_latency_, tf);
-                }
-                for (DelayItem& item : delays) {
-                    item.trace.ok = false;
-                    finish_trace(item.trace, "delay", obs_delay_latency_, tf);
-                }
-                for (PoleItem& item : poles) {
-                    item.trace.ok = false;
-                    finish_trace(item.trace, "pole", obs_pole_latency_, tf);
-                }
-            }
+            for_each_lane([&](auto& lane) { fail_lane(lane, error); });
             util::MutexLock lock(stats_mutex_);
             ++stats_.flush_failures;
         }
+        for_each_lane([](auto& lane) { lane.groups.clear(); });
         for (FlushItem& ack : acks) flush_slab_.set_value(ack.done, {});
     }
 }
 
-void QueryBatcher::execute(std::vector<TransferItem>& transfers,
-                           std::vector<DelayItem>& delays,
-                           std::vector<PoleItem>& poles) {
+void QueryBatcher::execute() {
     // Failure isolation contract across all three lanes: a query's outcome —
     // value or exception — must depend on ITS OWN arguments only, never on
     // what else happened to be coalesced with it (the serve-alone purity the
-    // header promises). Stamp failures fail a whole point group (stamping
-    // depends only on p, so every query at that point fails alone too);
-    // everything past the stamp is caught per item. Every task body below
-    // catches internally, so the combined section never aborts early.
+    // header promises). Every chunk task catches internally, so the combined
+    // section never aborts early.
     //
-    // The three lanes are fanned into ONE task set on the work-stealing
-    // pool: dense transfer/pole chunks and sparse delay corners interleave
-    // on the same workers instead of running lane-after-lane. Task
-    // composition affects scheduling only — each item's result is computed
+    // The lanes are fanned into ONE task set on the work-stealing pool:
+    // dense transfer/pole chunks and sparse delay corners interleave on the
+    // same workers instead of running lane-after-lane. Task composition
+    // affects scheduling only — each query's result is computed
     // independently, so the overlap is invisible in the bits.
     std::vector<std::function<void()>> tasks;
-
-    // --- transfer lane: group by parameter point, chunk groups into tasks.
-    // Each task stamps (and the engine Hessenberg-prepares) each of its
-    // points once, then answers every coalesced frequency with one O(q^2)
-    // solve. In degraded mode the fallback solves the FULL pencil per query
-    // — slower, same grouping stats, same isolation.
-    auto transfer_groups = group_by_point(transfers);
-    if (!transfer_groups.empty()) {
-        {
-            util::MutexLock lock(stats_mutex_);
-            stats_.transfer_queries += static_cast<long>(transfers.size());
-            stats_.transfer_groups += static_cast<long>(transfer_groups.size());
-        }
-        const int n = static_cast<int>(transfer_groups.size());
-        const int chunks = lane_chunks(n, opts_.threads);
-        for (int c = 0; c < chunks; ++c) {
-            const int b = static_cast<int>(static_cast<long long>(n) * c / chunks);
-            const int e = static_cast<int>(static_cast<long long>(n) * (c + 1) / chunks);
-            tasks.push_back([this, &transfer_groups, b, e] {
-                mor::RomEvalWorkspace ws;
-                {
-                    // Batch fulfilment: the chunk's answers land under ONE
-                    // slab lock with ONE wake-up when the task ends (the
-                    // destructor commits), instead of a per-query notify
-                    // storm across every blocked client.
-                    util::ResultSlab<la::ZMatrix>::Batch done(transfer_slab_);
-                    for (int g = b; g < e; ++g) {
-                        auto& group = transfer_groups[static_cast<std::size_t>(g)];
-                        if (engine_) {
-                            // The stamp is shared by the whole group: ONE
-                            // timed span, copied into every member's trace.
-                            const std::int64_t t0 =
-                                obs::enabled() ? util::Timer::now_ns() : 0;
-                            try {
-                                VARMOR_FAULT_POINT_DETAIL("query_batcher.stamp",
-                                                          point_detail(*group.p));
-                                engine_->stamp_parameters(*group.p, ws);
-                            } catch (...) {
-                                for (TransferItem* item : group.items) {
-                                    item->trace.ok = false;
-                                    done.set_error(item->result,
-                                                   std::current_exception());
-                                }
-                                continue;
-                            }
-                            if (t0 != 0) {
-                                const std::int64_t t1 = util::Timer::now_ns();
-                                for (TransferItem* item : group.items)
-                                    item->trace.add(obs::Stage::kStamp, t0, t1);
-                            }
-                        }
-                        for (TransferItem* item : group.items) {
-                            const std::int64_t s0 =
-                                obs::enabled() && item->trace.active()
-                                    ? util::Timer::now_ns()
-                                    : 0;
-                            try {
-                                if (engine_) {
-                                    done.set_value(item->result,
-                                                   engine_->transfer(item->s, ws));
-                                } else if (fallbacks_.transfer) {
-                                    done.set_value(item->result,
-                                                   fallbacks_.transfer(*group.p,
-                                                                       item->s));
-                                } else {
-                                    throw Error("QueryBatcher: no transfer path");
-                                }
-                            } catch (...) {
-                                // e.g. the pencil singular at exactly this s:
-                                // fails THIS query only, like serve-alone
-                                // would.
-                                item->trace.ok = false;
-                                done.set_error(item->result,
-                                               std::current_exception());
-                            }
-                            if (s0 != 0)
-                                item->trace.add(obs::Stage::kSolve, s0,
-                                                util::Timer::now_ns());
-                        }
-                    }
-                }  // batch committed: the chunk's results are visible now
-                if (obs::enabled()) {
-                    const std::int64_t tf = util::Timer::now_ns();
-                    for (int g = b; g < e; ++g)
-                        for (TransferItem* item :
-                             transfer_groups[static_cast<std::size_t>(g)].items)
-                            finish_trace(item->trace, "transfer",
-                                         obs_transfer_latency_, tf);
-                }
+    auto add_chunks = [&](auto& lane, auto policy) {
+        const std::size_t n = lane.groups.size();
+        if (n == 0) return;
+        const std::size_t chunks = lane_chunks(n, opts_.threads);
+        for (std::size_t c = 0; c < chunks; ++c)
+            tasks.push_back([this, &lane, policy, b = n * c / chunks,
+                             e = n * (c + 1) / chunks] {
+                run_chunk(lane, policy, b, e);
             });
-        }
+    };
+
+    if (!transfer_.groups.empty()) {
+        util::MutexLock lock(stats_mutex_);
+        for (const auto& group : transfer_.groups)
+            stats_.transfer_queries += static_cast<long>(group.size());
+        stats_.transfer_groups += static_cast<long>(transfer_.groups.size());
+    }
+    // The ROM or, degraded, the full pencil: one policy for the whole flush.
+    if (engine_) {
+        add_chunks(transfer_, RomPolicy{engine_});
+        add_chunks(pole_, RomPolicy{engine_});
+    } else {
+        add_chunks(transfer_, FullPencilPolicy{&fallbacks_});
+        add_chunks(pole_, FullPencilPolicy{&fallbacks_});
     }
 
-    // --- pole lane: same grouping; the pole kernel is per-sample only.
-    auto pole_groups = group_by_point(poles);
-    if (!pole_groups.empty()) {
-        const int n = static_cast<int>(pole_groups.size());
-        const int chunks = lane_chunks(n, opts_.threads);
-        for (int c = 0; c < chunks; ++c) {
-            const int b = static_cast<int>(static_cast<long long>(n) * c / chunks);
-            const int e = static_cast<int>(static_cast<long long>(n) * (c + 1) / chunks);
-            tasks.push_back([this, &pole_groups, b, e] {
-                mor::RomEvalWorkspace ws;
-                {
-                    util::ResultSlab<std::vector<la::cplx>>::Batch done(pole_slab_);
-                    for (int g = b; g < e; ++g) {
-                        auto& group = pole_groups[static_cast<std::size_t>(g)];
-                        if (engine_) {
-                            const std::int64_t t0 =
-                                obs::enabled() ? util::Timer::now_ns() : 0;
-                            try {
-                                VARMOR_FAULT_POINT_DETAIL("query_batcher.stamp",
-                                                          point_detail(*group.p));
-                                engine_->stamp_parameters(*group.p, ws);
-                            } catch (...) {
-                                for (PoleItem* item : group.items) {
-                                    item->trace.ok = false;
-                                    done.set_error(item->result,
-                                                   std::current_exception());
-                                }
-                                continue;
-                            }
-                            if (t0 != 0) {
-                                const std::int64_t t1 = util::Timer::now_ns();
-                                for (PoleItem* item : group.items)
-                                    item->trace.add(obs::Stage::kStamp, t0, t1);
-                            }
-                        }
-                        for (PoleItem* item : group.items) {
-                            const std::int64_t s0 =
-                                obs::enabled() && item->trace.active()
-                                    ? util::Timer::now_ns()
-                                    : 0;
-                            try {
-                                if (engine_) {
-                                    done.set_value(item->result, engine_->poles(ws));
-                                } else if (fallbacks_.poles) {
-                                    done.set_value(item->result,
-                                                   fallbacks_.poles(*group.p));
-                                } else {
-                                    throw Error("QueryBatcher: no poles path");
-                                }
-                            } catch (...) {
-                                item->trace.ok = false;
-                                done.set_error(item->result,
-                                               std::current_exception());
-                            }
-                            if (s0 != 0)
-                                item->trace.add(obs::Stage::kSolve, s0,
-                                                util::Timer::now_ns());
-                        }
-                    }
-                }
-                if (obs::enabled()) {
-                    const std::int64_t tf = util::Timer::now_ns();
-                    for (int g = b; g < e; ++g)
-                        for (PoleItem* item :
-                             pole_groups[static_cast<std::size_t>(g)].items)
-                            finish_trace(item->trace, "pole", obs_pole_latency_,
-                                         tf);
-                }
-            });
-        }
-    }
-
-    // --- delay lane: the pending corners ARE a TransientBatchRunner corner
-    // batch (one refactorization per corner). The forcing series is corner-
-    // independent, evaluated ONCE here on the flusher thread; a failure in
-    // it would hit every corner served alone too, so it fails every delay
-    // channel (the shared-preamble contract). Per-corner execution keeps the
-    // captured-batch isolation: a failing corner fails ITS ticket only, and
-    // every other corner's answer comes from this same batch — never from a
-    // re-run, so no extra work and bit-identical results whether or not a
-    // batchmate failed.
+    // The delay lane's one per-flush step: the forcing series is corner-
+    // independent, so it is evaluated ONCE here on the flusher thread. Its
+    // failure would hit every corner served alone too, so it fails every
+    // delay of the flush.
     std::vector<la::Vector> forcing;
-    bool delay_ready = false;
-    if (!delays.empty()) {
+    if (!delay_.groups.empty()) {
         try {
             forcing = transient_->make_forcing(input_);
-            delay_ready = true;
         } catch (...) {
-            const std::exception_ptr error = std::current_exception();
-            {
-                util::ResultSlab<DelayResult>::Batch done(delay_slab_);
-                for (DelayItem& item : delays) {
-                    item.trace.ok = false;
-                    done.set_error(item.result, error);
-                }
-            }
-            if (obs::enabled()) {
-                const std::int64_t tf = util::Timer::now_ns();
-                for (DelayItem& item : delays)
-                    finish_trace(item.trace, "delay", obs_delay_latency_, tf);
-            }
+            fail_lane(delay_, std::current_exception());
+            delay_.groups.clear();
         }
     }
-    if (delay_ready) {
-        const int n = static_cast<int>(delays.size());
-        const int chunks = lane_chunks(n, opts_.threads);
-        for (int c = 0; c < chunks; ++c) {
-            const int b = static_cast<int>(static_cast<long long>(n) * c / chunks);
-            const int e = static_cast<int>(static_cast<long long>(n) * (c + 1) / chunks);
-            tasks.push_back([this, &delays, &forcing, b, e] {
-                analysis::TransientBatchRunner::Scratch scratch =
-                    transient_->make_scratch();
-                {
-                    util::ResultSlab<DelayResult>::Batch done(delay_slab_);
-                    for (int i = b; i < e; ++i) {
-                        DelayItem& item = delays[static_cast<std::size_t>(i)];
-                        const std::int64_t s0 =
-                            obs::enabled() && item.trace.active()
-                                ? util::Timer::now_ns()
-                                : 0;
-                        analysis::TransientBatchRunner::CornerOutcome outcome =
-                            transient_->run_corner_captured(item.p, forcing,
-                                                            scratch);
-                        if (outcome.error) {
-                            item.trace.ok = false;
-                            done.set_error(item.result, outcome.error);
-                        } else {
-                            try {
-                                done.set_value(
-                                    item.result,
-                                    DelayResult{
-                                        analysis::crossing_time(*outcome.result,
-                                                                observe_, level_),
-                                        level_});
-                            } catch (...) {
-                                item.trace.ok = false;
-                                done.set_error(item.result,
-                                               std::current_exception());
-                            }
-                        }
-                        if (s0 != 0)
-                            item.trace.add(obs::Stage::kSolve, s0,
-                                           util::Timer::now_ns());
-                    }
-                }
-                if (obs::enabled()) {
-                    const std::int64_t tf = util::Timer::now_ns();
-                    for (int i = b; i < e; ++i)
-                        finish_trace(delays[static_cast<std::size_t>(i)].trace,
-                                     "delay", obs_delay_latency_, tf);
-                }
-            });
-        }
-    }
+    add_chunks(delay_, DelayPolicy{transient_, &forcing, observe_, level_});
 
     util::ThreadPool::run_tasks(opts_.threads, tasks);
 }
 
-void QueryBatcher::finish_trace(obs::QueryTrace& trace, const char* lane,
-                                obs::Histogram& lane_latency,
-                                std::int64_t now_ns) {
-    if (!trace.active()) return;
-    trace.add(obs::Stage::kFulfil, trace.last_end_ns(), now_ns);
-    lane_latency.record(now_ns - trace.submit_ns);
-    for (int i = 0; i < trace.num_spans; ++i) {
-        const obs::Span& span = trace.spans[i];
-        switch (span.stage) {
-            case obs::Stage::kQueueWait:
-                obs_queue_wait_.record(span.duration_ns());
-                break;
-            case obs::Stage::kStamp:
-                obs_stamp_.record(span.duration_ns());
-                break;
-            case obs::Stage::kSolve:
-                obs_solve_.record(span.duration_ns());
-                break;
-            case obs::Stage::kFulfil:
-                obs_fulfil_.record(span.duration_ns());
-                break;
+template <class Arg, class Result, class Policy>
+void QueryBatcher::run_chunk(Lane<Arg, Result>& lane, const Policy& policy,
+                             std::size_t b, std::size_t e) {
+    auto scratch = policy.make_scratch();
+    {
+        // Batch fulfilment: the chunk's answers land under ONE slab lock
+        // with ONE wake-up when the batch commits, instead of a per-query
+        // notify storm across every blocked client.
+        typename util::ResultSlab<Result>::Batch done(lane.slab);
+        for (std::size_t g = b; g < e; ++g) {
+            std::vector<Query<Arg, Result>>& group = lane.groups[g];
+            const std::vector<double>& p = group.front().p;
+            if constexpr (Policy::kStamps) {
+                // The stamp depends on p alone, so its failure fails the
+                // whole group (each member would fail served alone too).
+                // ONE timed span, copied into every member's trace.
+                const std::int64_t t0 = obs::enabled() ? util::Timer::now_ns() : 0;
+                try {
+                    policy.prepare(p, scratch);
+                } catch (...) {
+                    for (Query<Arg, Result>& query : group) {
+                        query.trace.ok = false;
+                        done.set_error(query.result, std::current_exception());
+                    }
+                    continue;
+                }
+                if (t0 != 0) {
+                    const std::int64_t t1 = util::Timer::now_ns();
+                    for (Query<Arg, Result>& query : group)
+                        query.trace.add(obs::Stage::kStamp, t0, t1);
+                }
+            }
+            for (Query<Arg, Result>& query : group) {
+                const std::int64_t s0 =
+                    obs::enabled() && query.trace.active() ? util::Timer::now_ns() : 0;
+                try {
+                    done.set_value(query.result, policy.solve(query.arg, p, scratch));
+                } catch (...) {
+                    // e.g. the pencil singular at exactly this s: fails THIS
+                    // query only, like serve-alone would.
+                    query.trace.ok = false;
+                    done.set_error(query.result, std::current_exception());
+                }
+                if (s0 != 0)
+                    query.trace.add(obs::Stage::kSolve, s0, util::Timer::now_ns());
+            }
         }
+    }  // batch committed: the chunk's results are visible now
+    finish_traces(lane, b, e);
+}
+
+template <class Arg, class Result>
+void QueryBatcher::fail_lane(Lane<Arg, Result>& lane, const std::exception_ptr& error) {
+    {
+        typename util::ResultSlab<Result>::Batch done(lane.slab);
+        for (std::vector<Query<Arg, Result>>& group : lane.groups)
+            for (Query<Arg, Result>& query : group) {
+                query.trace.ok = false;
+                done.set_error(query.result, error);
+            }
     }
-    obs::TraceStore::global().record(trace, lane);
+    finish_traces(lane, 0, lane.groups.size());
+}
+
+template <class Arg, class Result>
+void QueryBatcher::finish_traces(Lane<Arg, Result>& lane, std::size_t b,
+                                 std::size_t e) {
+    if (!obs::enabled()) return;
+    const std::int64_t now_ns = util::Timer::now_ns();
+    for (std::size_t g = b; g < e; ++g)
+        for (Query<Arg, Result>& query : lane.groups[g]) {
+            obs::QueryTrace& trace = query.trace;
+            if (!trace.active()) continue;
+            trace.add(obs::Stage::kFulfil, trace.last_end_ns(), now_ns);
+            lane.latency.record(now_ns - trace.submit_ns);
+            for (int i = 0; i < trace.num_spans; ++i) {
+                const obs::Span& span = trace.spans[i];
+                switch (span.stage) {
+                    case obs::Stage::kQueueWait:
+                        obs_queue_wait_.record(span.duration_ns());
+                        break;
+                    case obs::Stage::kStamp:
+                        obs_stamp_.record(span.duration_ns());
+                        break;
+                    case obs::Stage::kSolve:
+                        obs_solve_.record(span.duration_ns());
+                        break;
+                    case obs::Stage::kFulfil:
+                        obs_fulfil_.record(span.duration_ns());
+                        break;
+                }
+            }
+            obs::TraceStore::global().record(trace, lane.name);
+        }
 }
 
 }  // namespace varmor::service

@@ -73,7 +73,7 @@ struct QueryBatcherStats {
 /// Degraded-mode serving paths used when no ROM engine is available (the
 /// model build failed and the key is poisoned — see StudySession): per-query
 /// full-pencil evaluation. Slower, but answers stay exact and the service
-/// stays up.
+/// stays up. A degraded batcher needs both.
 struct QueryFallbacks {
     std::function<la::ZMatrix(const std::vector<double>& p, la::cplx s)> transfer;
     std::function<std::vector<la::cplx>(const std::vector<double>& p)> poles;
@@ -82,20 +82,21 @@ struct QueryFallbacks {
 /// Coalesces concurrent point queries from many logical clients into the
 /// batched engines — the middle piece of the serving subsystem.
 ///
-/// Three query classes are accepted, matching the batched execution lanes
-/// underneath:
+/// Three query classes are accepted, each on its own LANE, and every lane
+/// runs one chunk runner driven by a small policy: a flush groups the lane's
+/// queries by exact parameter point, the policy prepares once per point
+/// group (if it stamps), then solves once per query.
 ///
-///   transfer(p, s)  ROM transfer value        -> mor::RomEvalEngine, queries
-///                                                grouped by parameter point
-///                                                (one stamp + Hessenberg
-///                                                preparation per group, one
-///                                                O(q^2) solve per query)
-///   delay(p)        full-system 50%-crossing  -> TransientBatchRunner corner
-///                   delay at a corner            batch (one refactorization
-///                                                per corner, forcing series
-///                                                shared across the batch)
-///   poles(p)        ROM poles at a corner     -> engine pole kernel, grouped
-///                                                by parameter point
+///   transfer(p, s)  ROM policy: stamp G~(p), C~(p) and Hessenberg-prepare
+///                   per point (mor::RomEvalEngine), one O(q^2) solve per s
+///   poles(p)        ROM policy: the same stamp, the engine pole kernel
+///   delay(p)        the flush's forcing step (TransientBatchRunner::
+///                   make_forcing), then one solve per corner: a full-system
+///                   transient run and its 50%-crossing delay
+///
+/// Degraded serving (no ROM engine) is the full-pencil policy on the
+/// transfer and pole lanes: nothing to prepare, one exact QueryFallbacks
+/// evaluation per query, chosen once per flush.
 ///
 /// Queries are enqueued on a util::MpmcQueue and drained by one flusher
 /// thread under a size/deadline policy: a batch flushes when `max_batch`
@@ -103,13 +104,12 @@ struct QueryFallbacks {
 /// whichever comes first. flush() forces a drain of everything already
 /// submitted.
 ///
-/// Within one flush the three lanes are OVERLAPPED, not sequential: the
-/// transfer lane's dense Hessenberg chunks, the pole lane's sample chunks
-/// and the delay lane's sparse transient corners are submitted as ONE task
-/// set to the work-stealing util::ThreadPool, so a worker that finishes its
-/// dense chunks steals sparse corners (and vice versa) instead of idling at
-/// a lane barrier. Results are unaffected — every task computes items
-/// independently (the bit-identity contract below).
+/// Within one flush the three lanes are OVERLAPPED, not sequential: every
+/// lane's point groups are cut into chunks and submitted as ONE task set to
+/// the work-stealing util::ThreadPool, so a worker that finishes its dense
+/// Hessenberg chunks steals sparse transient corners (and vice versa)
+/// instead of idling at a lane barrier. Results are unaffected — every task
+/// computes items independently (the bit-identity contract below).
 ///
 /// Determinism contract (the reason coalescing is safe to hide behind
 /// futures): every query's answer is a pure function of its own arguments —
@@ -122,9 +122,13 @@ struct QueryFallbacks {
 /// outcome arrives through the future as a value or as one of the
 /// service::errors taxonomy (OverloadError when shed at ingress,
 /// DeadlineExceeded when a per-query Deadline passes in the queue,
-/// ServiceClosed when racing close()). A failure during batch execution —
-/// including injected faults — fails the affected queries' futures and the
-/// flusher keeps serving subsequent batches.
+/// ServiceClosed when racing close()). During batch execution a query's
+/// outcome depends on its own arguments only: a failed prepare fails its
+/// point group (it depends on p alone), a failed solve fails its query, a
+/// failed forcing step fails every delay of the flush (each would fail
+/// alone too). A failure of the batch as a whole — injected faults
+/// included — fails its queries' futures, and the flusher keeps serving
+/// subsequent batches.
 class QueryBatcher {
 public:
     /// Serves transfer/pole queries on `engine` — or, when `engine` is null,
@@ -182,56 +186,90 @@ public:
     /// Occupancy of the per-lane result slabs (bench/ops visibility): after
     /// warm-up, `capacity` plateaus at the concurrency high-water mark and
     /// every further query reuses a recycled slot.
-    util::ResultSlabStats transfer_slab_stats() const { return transfer_slab_.stats(); }
-    util::ResultSlabStats delay_slab_stats() const { return delay_slab_.stats(); }
-    util::ResultSlabStats pole_slab_stats() const { return pole_slab_.stats(); }
+    util::ResultSlabStats transfer_slab_stats() const { return transfer_.slab.stats(); }
+    util::ResultSlabStats delay_slab_stats() const { return delay_.slab.stats(); }
+    util::ResultSlabStats pole_slab_stats() const { return pole_.slab.stats(); }
 
 private:
-    // Each point-query item carries its obs::QueryTrace — minted at submit
-    // (admit), queue-wait span stamped at triage, stamp/solve/fulfil spans
-    // in the flush lanes, recorded to the TraceStore at fulfilment. An
-    // inactive trace (telemetry off) makes every one of those a no-op.
-    struct TransferItem {
+    /// One point query; `Arg` is its argument besides p (std::monostate when
+    /// the answer depends on p alone). Its obs::QueryTrace is minted at
+    /// submit, gets its queue-wait span at triage and its stamp/solve spans
+    /// in the chunk runner, and is recorded at fulfilment. An inactive trace
+    /// (telemetry off) makes every one of those a no-op.
+    template <class Arg, class Result>
+    struct Query {
         std::vector<double> p;
-        la::cplx s;
+        Arg arg;
         util::Deadline deadline;
         obs::QueryTrace trace;
-        util::ResultSlab<la::ZMatrix>::Channel result;
+        typename util::ResultSlab<Result>::Channel result;
     };
-    struct DelayItem {
-        std::vector<double> p;
-        util::Deadline deadline;
-        obs::QueryTrace trace;
-        util::ResultSlab<DelayResult>::Channel result;
+
+    /// One query class: its trace-store name, latency histogram and result
+    /// arena, plus the current flush's queries grouped by EXACT parameter
+    /// point (near-equal points must not alias; grouping affects only
+    /// amortization, never results). Slab slots recycle once a batch
+    /// fulfils them and their client collects, so steady-state traffic
+    /// reuses a small fixed pool. `groups` belongs to the flusher thread and
+    /// the chunk tasks it joins.
+    template <class Arg, class Result>
+    struct Lane {
+        using QueryT = Query<Arg, Result>;
+
+        Lane(const char* lane_name, obs::Histogram& lane_latency)
+            : name(lane_name), latency(lane_latency) {}
+
+        const char* name;
+        obs::Histogram& latency;
+        util::ResultSlab<Result> slab;
+        /// First-seen point order; arrival order within a group.
+        std::vector<std::vector<QueryT>> groups;
     };
-    struct PoleItem {
-        std::vector<double> p;
-        util::Deadline deadline;
-        obs::QueryTrace trace;
-        util::ResultSlab<std::vector<la::cplx>>::Channel result;
-    };
+
+    using TransferLane = Lane<la::cplx, la::ZMatrix>;
+    using PoleLane = Lane<std::monostate, std::vector<la::cplx>>;
+    using DelayLane = Lane<std::monostate, DelayResult>;
     struct FlushItem {
         util::ResultSlab<std::monostate>::Channel done;
     };
-    using Item = std::variant<TransferItem, DelayItem, PoleItem, FlushItem>;
+    using Item = std::variant<TransferLane::QueryT, PoleLane::QueryT,
+                              DelayLane::QueryT, FlushItem>;
 
-    /// Deadline triage + admission control shared by the three submits:
-    /// opens a slab channel and returns its ticket, which is fulfilled
-    /// normally, or failed right here when the query is expired / shed /
-    /// racing close().
-    template <class ItemT, class ResultT>
-    Future<ResultT> admit(util::ResultSlab<ResultT>& slab, ItemT item);
+    /// Admission control shared by the three submits: opens a channel on the
+    /// lane's slab and returns its ticket, which a flush fulfils — or which
+    /// is failed right here when the query is expired / shed / racing close().
+    template <class Arg, class Result>
+    Future<Result> admit(Lane<Arg, Result>& lane, Query<Arg, Result> query);
+
+    /// Triage, the whole-batch catch-all and the end-of-flush reset treat the
+    /// lanes alike.
+    template <class F>
+    void for_each_lane(F&& f) {
+        f(transfer_);
+        f(pole_);
+        f(delay_);
+    }
 
     void flusher_loop();
-    void execute(std::vector<TransferItem>& transfers, std::vector<DelayItem>& delays,
-                 std::vector<PoleItem>& poles);
+    void execute();
 
-    /// Closes out a query's trace at fulfilment time: fulfil span (last
-    /// span end → `now_ns`, i.e. until its chunk's slab batch committed),
-    /// per-stage + per-lane latency histograms, TraceStore record. No-op
-    /// for inactive traces.
-    void finish_trace(obs::QueryTrace& trace, const char* lane,
-                      obs::Histogram& lane_latency, std::int64_t now_ns);
+    /// The chunk-task body of every lane, over point groups [b, e): the
+    /// policy prepares each point once (only if it stamps) and solves each
+    /// query once; the answers commit as one slab batch.
+    template <class Arg, class Result, class Policy>
+    void run_chunk(Lane<Arg, Result>& lane, const Policy& policy, std::size_t b,
+                   std::size_t e);
+
+    /// Fails every query of the lane's flush with `error` (answered ones keep
+    /// their values) and closes their traces.
+    template <class Arg, class Result>
+    void fail_lane(Lane<Arg, Result>& lane, const std::exception_ptr& error);
+
+    /// Closes out the traces of point groups [b, e) once their answers are
+    /// visible: fulfil span (last span end → now), per-stage and lane latency
+    /// histograms, TraceStore record. No-op with telemetry off.
+    template <class Arg, class Result>
+    void finish_traces(Lane<Arg, Result>& lane, std::size_t b, std::size_t e);
 
     const mor::RomEvalEngine* engine_;  ///< null = degraded (fallbacks serve)
     QueryFallbacks fallbacks_;
@@ -242,25 +280,19 @@ private:
     QueryBatcherOptions opts_;
 
     util::MpmcQueue<Item> queue_;
-    /// Per-lane result-channel arenas. Recycled per flush epoch: a slot
-    /// returns to its slab the moment its batch fulfils it and its client
-    /// collects, so steady-state traffic reuses a small fixed pool.
-    util::ResultSlab<la::ZMatrix> transfer_slab_;
-    util::ResultSlab<DelayResult> delay_slab_;
-    util::ResultSlab<std::vector<la::cplx>> pole_slab_;
+    TransferLane transfer_;
+    PoleLane pole_;
+    DelayLane delay_;
     util::ResultSlab<std::monostate> flush_slab_;
     mutable util::Mutex stats_mutex_;
     QueryBatcherStats stats_ GUARDED_BY(stats_mutex_);
-    /// Registry-owned latency instruments, resolved once at construction
+    /// Registry-owned stage instruments, resolved once at construction
     /// (instruments are process-global and never move, so the references
     /// stay valid and the hot path never touches the registry lock).
     obs::Histogram& obs_queue_wait_;
     obs::Histogram& obs_stamp_;
     obs::Histogram& obs_solve_;
     obs::Histogram& obs_fulfil_;
-    obs::Histogram& obs_transfer_latency_;
-    obs::Histogram& obs_delay_latency_;
-    obs::Histogram& obs_pole_latency_;
     util::Mutex close_mutex_;  ///< serializes close() callers around the join
     /// Written once in the constructor; joined under close_mutex_ — never
     /// touched concurrently outside that, so deliberately unguarded.

@@ -1,5 +1,6 @@
 #include "service/telemetry.h"
 
+#include <algorithm>
 #include <string>
 
 #include "util/result_slab.h"
@@ -50,7 +51,8 @@ void export_batcher(const QueryBatcher& batcher, obs::Snapshot& out) {
     out.add_counter("batcher.expired", s.expired);
     out.add_counter("batcher.rejected_closed", s.rejected_closed);
     out.add_counter("batcher.flush_failures", s.flush_failures);
-    out.add_gauge("batcher.largest_batch", s.largest_batch);
+    long long& largest = out.gauges["batcher.largest_batch"];
+    largest = std::max<long long>(largest, s.largest_batch);
 
     export_slab("slab_transfer", batcher.transfer_slab_stats(), out);
     export_slab("slab_delay", batcher.delay_slab_stats(), out);

@@ -14,10 +14,10 @@ namespace varmor::service {
 // exactly one file — so the JSON vocabulary of StudyService::telemetry()
 // and the bench artifacts is defined in one place.
 //
-// Merge semantics for multi-session roll-ups: counters and gauges add.
-// Adding is exact for event counts and occupancy-style gauges
-// (slab in_use, capacity); for `batcher.largest_batch` — a per-session
-// maximum — the sum is an upper bound, kept for simplicity.
+// Multi-session roll-ups: counters and occupancy-style gauges (slab in_use,
+// capacity) add across sessions; `batcher.largest_batch` is the maximum
+// over the exported sessions, since a sum of per-session maxima is no flush
+// that ever ran.
 // ---------------------------------------------------------------------------
 
 /// `model_cache.*` + `disk_store.*` counters from a cache's stats snapshot.

@@ -308,6 +308,7 @@ TEST(FaultInjection, StampFaultFailsOnePointGroupOnly) {
     const std::vector<double> good{0.07, -0.03}, bad{0.21, 0.04};
     const cplx s(0.0, util::two_pi_f(0.05));
     const ZMatrix ref = session.transfer_now(good, s);
+    const std::vector<cplx> ref_poles = session.poles_now(good);
 
     {
         ScopedFault fault("query_batcher.stamp",
@@ -315,14 +316,23 @@ TEST(FaultInjection, StampFaultFailsOnePointGroupOnly) {
                                                      "bad stamp"));
         auto fg1 = session.transfer(good, s);
         auto fb = session.transfer(bad, s);
+        auto pg = session.poles(good);
+        auto pb = session.poles(bad);
         auto fg2 = session.transfer(good, s);
         session.flush();
         ASSERT_TRUE(resolves(fg1));
         ASSERT_TRUE(resolves(fb));
         ASSERT_TRUE(resolves(fg2));
+        ASSERT_TRUE(resolves(pg));
+        ASSERT_TRUE(resolves(pb));
         expect_bit_identical(fg1.get(), ref);
         expect_bit_identical(fg2.get(), ref);
         EXPECT_THROW(fb.get(), FaultInjected);
+        // The pole lane shares the stamp step, so the same point fails there.
+        const std::vector<cplx> poles = pg.get();
+        ASSERT_EQ(poles.size(), ref_poles.size());
+        for (std::size_t k = 0; k < poles.size(); ++k) EXPECT_EQ(poles[k], ref_poles[k]);
+        EXPECT_THROW(pb.get(), FaultInjected);
     }
     FaultInjector::instance().clear();
 }

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <vector>
@@ -450,6 +451,31 @@ TEST(ObsServing, ServiceTelemetryIsOneCoherentSnapshot) {
     const std::string json = snap.to_json();
     EXPECT_NE(json.find("\"batcher.queries\""), std::string::npos);
     EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+}
+
+// `batcher.largest_batch` is one flush's size, so the service roll-up over
+// several sessions is their maximum, never their sum.
+TEST(ObsServing, LargestBatchIsTheMaximumOverSessions) {
+    service::ModelCache cache;
+    service::StudyService service(cache, service_options());
+    service::StudySession& a = service.open(test_system());
+    service::StudySession& b = service.open(small_parametric_rc(30, 2, 78));
+    ASSERT_EQ(service.num_sessions(), 2);
+
+    const cplx s(0.0, util::two_pi_f(0.05));
+    std::vector<service::Future<ZMatrix>> futures;
+    for (int j = 0; j < 3; ++j) futures.push_back(a.transfer({0.01 * j, 0.0}, s));
+    a.flush();
+    for (int j = 0; j < 5; ++j) futures.push_back(b.transfer({0.01 * j, 0.0}, s));
+    b.flush();
+    for (auto& f : futures) f.get();
+
+    const int largest_a = a.batcher().stats().largest_batch;
+    const int largest_b = b.batcher().stats().largest_batch;
+    ASSERT_GE(largest_a, 1);
+    ASSERT_GE(largest_b, 1);
+    EXPECT_EQ(service.telemetry().gauge("batcher.largest_batch"),
+              std::max(largest_a, largest_b));
 }
 
 TEST(ObsServing, FaultInjectorHitsExportedThroughSnapshot) {

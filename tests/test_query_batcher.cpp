@@ -2,13 +2,15 @@
 // batch assembled from whatever traffic happened to interleave is BIT-
 // IDENTICAL to serving every query alone, at any execution thread count.
 // Also pinned: the size and deadline halves of the flush policy, flush()
-// draining, and per-query error isolation.
+// draining, per-query error isolation, and each lane's trace shape.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
 #include <future>  // std::future_status — the ticket's wait_for vocabulary
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "mor/lowrank_pmor.h"
 #include "mor/rom_eval.h"
 #include "mor_test_utils.h"
+#include "obs/trace.h"
 #include "service/query_batcher.h"
 #include "util/constants.h"
 
@@ -242,6 +245,166 @@ TEST(QueryBatcher, PerQueryErrorsDoNotPoisonTheBatch) {
     if (got.delay) EXPECT_EQ(*got.delay, *ref.delay);
     EXPECT_THROW(bad_poles.get(), Error);
     EXPECT_EQ(good_poles.get().size(), fx.poles_alone({0.1, -0.1}).size());
+}
+
+// A delay lane whose one per-flush step, the forcing series, fails: every
+// delay of the flush fails with that error, and the transfer and pole
+// queries coalesced with them are untouched.
+TEST(QueryBatcher, ForcingFailureFailsEveryDelayOfTheFlushOnly) {
+    Fixture fx;
+    QueryBatcherOptions opts;
+    opts.max_batch = 1000;
+    opts.max_wait_ms = 60000.0;  // one flush: everything rides the flush() marker
+    opts.threads = 1;
+    const analysis::InputFn broken = [](double) -> la::Vector {
+        throw Error("input blew up");
+    };
+    QueryBatcher batcher(fx.engine, &fx.runner, broken, fx.level, fx.observe(), opts);
+
+    const std::vector<double> p{0.1, -0.1}, q{-0.05, 0.2};
+    const cplx s(0.0, 1.5);
+    auto t1 = batcher.submit_transfer(p, s);
+    auto d1 = batcher.submit_delay(p);
+    auto poles = batcher.submit_poles(q);
+    auto d2 = batcher.submit_delay(q);
+    auto t2 = batcher.submit_transfer(q, s);
+    batcher.flush();
+
+    for (Future<DelayResult>* d : {&d1, &d2}) {
+        try {
+            (void)d->get();
+            ADD_FAILURE() << "a delay was answered without a forcing series";
+        } catch (const Error& e) {
+            EXPECT_STREQ(e.what(), "input blew up");
+        }
+    }
+    expect_bit_identical(t1.get(), fx.transfer_alone(p, s));
+    expect_bit_identical(t2.get(), fx.transfer_alone(q, s));
+    const std::vector<cplx> got = poles.get();
+    const std::vector<cplx> ref = fx.poles_alone(q);
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t k = 0; k < got.size(); ++k) {
+        EXPECT_EQ(got[k].real(), ref[k].real());
+        EXPECT_EQ(got[k].imag(), ref[k].imag());
+    }
+    EXPECT_EQ(batcher.stats().flush_failures, 0);
+}
+
+std::vector<obs::Stage> stages_of(const obs::TraceRecord& record) {
+    std::vector<obs::Stage> out;
+    for (int i = 0; i < record.trace.num_spans; ++i)
+        out.push_back(record.trace.spans[i].stage);
+    return out;
+}
+
+/// The dumped traces grouped by lane name.
+std::map<std::string, std::vector<obs::TraceRecord>> traces_by_lane() {
+    std::map<std::string, std::vector<obs::TraceRecord>> out;
+    for (const obs::TraceRecord& record : obs::TraceStore::global().dump())
+        out[record.lane].push_back(record);
+    return out;
+}
+
+// The span sequence each lane records. A stamp span exists only where the
+// lane's policy prepares per point group (the ROM transfer and pole lanes);
+// the delay lane and the degraded full-pencil lanes solve per query only,
+// which is what keeps `query.stamp_ns` a ROM-stamp measurement.
+TEST(QueryBatcher, EachLaneRecordsItsTraceShape) {
+    Fixture fx;
+    ASSERT_EQ(obs::enabled(), obs::kCompiledIn);  // tracing is on by default
+    obs::TraceStore::global().clear();
+    QueryBatcherOptions opts;
+    opts.max_batch = 1000;
+    opts.max_wait_ms = 60000.0;
+    opts.threads = 1;
+    const std::vector<double> p{0.1, -0.1};
+    const cplx s(0.0, 1.0);
+    using obs::Stage;
+    const std::vector<Stage> stamped{Stage::kQueueWait, Stage::kStamp, Stage::kSolve,
+                                     Stage::kFulfil};
+    const std::vector<Stage> unstamped{Stage::kQueueWait, Stage::kSolve, Stage::kFulfil};
+    const auto expect_shape = [](const std::vector<obs::TraceRecord>& records,
+                                 std::size_t n, const std::vector<Stage>& shape) {
+        ASSERT_EQ(records.size(), n);
+        for (const obs::TraceRecord& record : records) {
+            EXPECT_TRUE(record.trace.ok);
+            EXPECT_EQ(stages_of(record), shape);
+        }
+    };
+
+    {
+        QueryBatcher rom(fx.engine, &fx.runner, fx.input, fx.level, fx.observe(), opts);
+        auto t1 = rom.submit_transfer(p, s);
+        auto t2 = rom.submit_transfer(p, s * 2.0);
+        auto poles = rom.submit_poles(p);
+        auto delay = rom.submit_delay(p);
+        rom.flush();
+        (void)t1.get();
+        (void)t2.get();
+        (void)poles.get();
+        (void)delay.get();
+    }
+    auto lanes = traces_by_lane();
+    if (!obs::kCompiledIn) {
+        EXPECT_TRUE(lanes.empty());  // compiled out: nothing is ever traced
+        return;
+    }
+    EXPECT_EQ(lanes.size(), 3u);
+    expect_shape(lanes["transfer"], 2, stamped);
+    expect_shape(lanes["pole"], 1, stamped);
+    expect_shape(lanes["delay"], 1, unstamped);
+
+    // Degraded: the full-pencil policy prepares nothing.
+    obs::TraceStore::global().clear();
+    {
+        QueryFallbacks fallbacks;
+        fallbacks.transfer = [&fx](const std::vector<double>& at, cplx sv) {
+            return fx.transfer_alone(at, sv);
+        };
+        fallbacks.poles = [&fx](const std::vector<double>& at) {
+            return fx.poles_alone(at);
+        };
+        QueryBatcher degraded(nullptr, fallbacks, nullptr, {}, 0.0, 0, opts);
+        auto t = degraded.submit_transfer(p, s);
+        auto poles = degraded.submit_poles(p);
+        degraded.flush();
+        (void)t.get();
+        (void)poles.get();
+    }
+    lanes = traces_by_lane();
+    EXPECT_EQ(lanes.size(), 2u);
+    expect_shape(lanes["transfer"], 1, unstamped);
+    expect_shape(lanes["pole"], 1, unstamped);
+
+    // Expired in the queue (behind a held flusher): one failed queue-wait span.
+    obs::TraceStore::global().clear();
+    {
+        QueryFallbacks slow;
+        slow.transfer = [](const std::vector<double>&, cplx) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(150));
+            return ZMatrix(1, 1);
+        };
+        slow.poles = [](const std::vector<double>&) { return std::vector<cplx>{}; };
+        QueryBatcherOptions one;
+        one.max_batch = 1;
+        one.max_wait_ms = 0.0;
+        one.threads = 1;
+        QueryBatcher held(nullptr, slow, nullptr, {}, 0.0, 0, one);
+        auto first = held.submit_transfer(p, s);
+        auto doomed = held.submit_transfer(p, s, util::Deadline::after_ms(20.0));
+        EXPECT_THROW(doomed.get(), DeadlineExceeded);
+        (void)first.get();
+        held.flush();
+    }
+    lanes = traces_by_lane();
+    ASSERT_EQ(lanes["transfer"].size(), 2u);
+    int expired = 0;
+    for (const obs::TraceRecord& record : lanes["transfer"]) {
+        if (record.trace.ok) continue;
+        ++expired;
+        EXPECT_EQ(stages_of(record), std::vector<Stage>{Stage::kQueueWait});
+    }
+    EXPECT_EQ(expired, 1);
 }
 
 TEST(QueryBatcher, DelayWithoutRunnerIsRejected) {
