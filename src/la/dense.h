@@ -50,7 +50,8 @@ private:
 /// Dense matrix over scalar T, stored column-major (like LAPACK).
 ///
 /// Column-major layout matters throughout varmor: Krylov bases are grown
-/// column by column, and col()/set_col() must be contiguous copies.
+/// column by column in place (append_col), and col()/set_col() must be
+/// contiguous copies.
 template <class T>
 class MatrixT {
 public:
@@ -111,6 +112,15 @@ public:
         check(v.size() == rows_, "MatrixT::set_col: dimension mismatch");
         T* p = col_data(j);
         for (int i = 0; i < rows_; ++i) p[i] = v[i];
+    }
+
+    /// Appends v as a new last column. Storage grows geometrically, so a
+    /// basis built column by column costs amortized O(rows) per column
+    /// instead of a copy of the whole basis per column.
+    void append_col(const VectorT<T>& v) {
+        check(v.size() == rows_, "MatrixT::append_col: dimension mismatch");
+        data_.insert(data_.end(), v.raw().begin(), v.raw().end());
+        ++cols_;
     }
 
     /// Copy of columns [j0, j0+count).

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "la/dense.h"
 #include "la/simd.h"
@@ -166,66 +168,92 @@ void gemm_acc(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>& c) {
 }
 
 /// C = A^T * B, register-blocked on the simd layer: a 2x4 tile of C holds
-/// eight Pack<T>-wide accumulators per sweep over the shared rows (two A
-/// columns, four B columns stream through cache once per tile). Every entry
-/// — tile, edge or remainder — is accumulated in the dot1_n order (one
-/// vector accumulator, hsum, then the scalar tail), so c(i,j) depends only
-/// on the two columns and the row count, not on the tile position.
+/// eight Pack<T>-wide accumulators (two A columns against four B columns).
+/// Tall products are row-blocked as well: every tile sweeps one block of
+/// kTransARowBlock rows before any tile moves to the next, so each block of
+/// A and B is read from memory once and then served from cache, and each
+/// tile's accumulators are carried from block to block. Blocks are whole
+/// packs, so every row meets the same lane in the same order as in a single
+/// sweep: every entry — tile, edge or remainder — is still accumulated in
+/// the dot1_n order (one vector accumulator, hsum, then the scalar tail),
+/// and c(i,j) depends only on the two columns and the row count, not on the
+/// tile position or the blocking. Products whose rows fit in one block (all
+/// reduced-order ones) carry nothing: no heap buffer, accumulators in
+/// registers.
+constexpr int kTransARowBlock = 512;
+
 template <class T>
 void gemm_transA(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>& c) {
     using P = simd::Pack<T>;
     constexpr int W = P::lanes;
+    static_assert(kTransARowBlock % W == 0, "gemm_transA: row blocks must hold whole packs");
     const int rows = a.rows();
     const int ma = a.cols();
     const int n = b.cols();
-    int j = 0;
-    for (; j + 4 <= n; j += 4) {
-        const T* b0 = b.col_data(j);
-        const T* b1 = b.col_data(j + 1);
-        const T* b2 = b.col_data(j + 2);
-        const T* b3 = b.col_data(j + 3);
-        int i = 0;
-        for (; i + 2 <= ma; i += 2) {
-            const T* a0 = a.col_data(i);
-            const T* a1 = a.col_data(i + 1);
-            P s00 = P::zero(), s01 = P::zero(), s02 = P::zero(), s03 = P::zero();
-            P s10 = P::zero(), s11 = P::zero(), s12 = P::zero(), s13 = P::zero();
-            int r = 0;
-            for (; r + W <= rows; r += W) {
-                const P a0v = P::load(a0 + r), a1v = P::load(a1 + r);
-                const P b0v = P::load(b0 + r), b1v = P::load(b1 + r);
-                const P b2v = P::load(b2 + r), b3v = P::load(b3 + r);
-                s00 = fmadd(a0v, b0v, s00); s01 = fmadd(a0v, b1v, s01);
-                s02 = fmadd(a0v, b2v, s02); s03 = fmadd(a0v, b3v, s03);
-                s10 = fmadd(a1v, b0v, s10); s11 = fmadd(a1v, b1v, s11);
-                s12 = fmadd(a1v, b2v, s12); s13 = fmadd(a1v, b3v, s13);
+    const int vec_rows = rows - rows % W;  // rows the Pack loop covers
+    // Eight carried packs per 2x4 tile, only when there is a second block.
+    std::vector<T> carry(vec_rows > kTransARowBlock
+                             ? static_cast<std::size_t>(ma / 2) * (n / 4) * 8 * W
+                             : 0);
+    for (int r0 = 0;; r0 += kTransARowBlock) {
+        const int r1 = std::min(r0 + kTransARowBlock, vec_rows);
+        const bool first = r0 == 0, last = r1 == vec_rows;
+        std::size_t tile = 0;
+        for (int j = 0; j + 4 <= n; j += 4) {
+            const T* b0 = b.col_data(j);
+            const T* b1 = b.col_data(j + 1);
+            const T* b2 = b.col_data(j + 2);
+            const T* b3 = b.col_data(j + 3);
+            for (int i = 0; i + 2 <= ma; i += 2, tile += 8 * W) {
+                const T* a0 = a.col_data(i);
+                const T* a1 = a.col_data(i + 1);
+                P s00 = P::zero(), s01 = P::zero(), s02 = P::zero(), s03 = P::zero();
+                P s10 = P::zero(), s11 = P::zero(), s12 = P::zero(), s13 = P::zero();
+                if (!first) {
+                    const T* in = carry.data() + tile;
+                    s00 = P::load(in); s01 = P::load(in + W);
+                    s02 = P::load(in + 2 * W); s03 = P::load(in + 3 * W);
+                    s10 = P::load(in + 4 * W); s11 = P::load(in + 5 * W);
+                    s12 = P::load(in + 6 * W); s13 = P::load(in + 7 * W);
+                }
+                for (int r = r0; r < r1; r += W) {
+                    const P a0v = P::load(a0 + r), a1v = P::load(a1 + r);
+                    const P b0v = P::load(b0 + r), b1v = P::load(b1 + r);
+                    const P b2v = P::load(b2 + r), b3v = P::load(b3 + r);
+                    s00 = fmadd(a0v, b0v, s00); s01 = fmadd(a0v, b1v, s01);
+                    s02 = fmadd(a0v, b2v, s02); s03 = fmadd(a0v, b3v, s03);
+                    s10 = fmadd(a1v, b0v, s10); s11 = fmadd(a1v, b1v, s11);
+                    s12 = fmadd(a1v, b2v, s12); s13 = fmadd(a1v, b3v, s13);
+                }
+                if (!last) {
+                    T* out = carry.data() + tile;
+                    s00.store(out); s01.store(out + W);
+                    s02.store(out + 2 * W); s03.store(out + 3 * W);
+                    s10.store(out + 4 * W); s11.store(out + 5 * W);
+                    s12.store(out + 6 * W); s13.store(out + 7 * W);
+                    continue;
+                }
+                T t00 = hsum(s00), t01 = hsum(s01), t02 = hsum(s02), t03 = hsum(s03);
+                T t10 = hsum(s10), t11 = hsum(s11), t12 = hsum(s12), t13 = hsum(s13);
+                for (int r = vec_rows; r < rows; ++r) {
+                    const T a0r = a0[r], a1r = a1[r];
+                    const T b0r = b0[r], b1r = b1[r], b2r = b2[r], b3r = b3[r];
+                    t00 = simd::fmadd_s(a0r, b0r, t00); t01 = simd::fmadd_s(a0r, b1r, t01);
+                    t02 = simd::fmadd_s(a0r, b2r, t02); t03 = simd::fmadd_s(a0r, b3r, t03);
+                    t10 = simd::fmadd_s(a1r, b0r, t10); t11 = simd::fmadd_s(a1r, b1r, t11);
+                    t12 = simd::fmadd_s(a1r, b2r, t12); t13 = simd::fmadd_s(a1r, b3r, t13);
+                }
+                c(i, j) = t00; c(i, j + 1) = t01; c(i, j + 2) = t02; c(i, j + 3) = t03;
+                c(i + 1, j) = t10; c(i + 1, j + 1) = t11; c(i + 1, j + 2) = t12; c(i + 1, j + 3) = t13;
             }
-            T t00 = hsum(s00), t01 = hsum(s01), t02 = hsum(s02), t03 = hsum(s03);
-            T t10 = hsum(s10), t11 = hsum(s11), t12 = hsum(s12), t13 = hsum(s13);
-            for (; r < rows; ++r) {
-                const T a0r = a0[r], a1r = a1[r];
-                const T b0r = b0[r], b1r = b1[r], b2r = b2[r], b3r = b3[r];
-                t00 = simd::fmadd_s(a0r, b0r, t00); t01 = simd::fmadd_s(a0r, b1r, t01);
-                t02 = simd::fmadd_s(a0r, b2r, t02); t03 = simd::fmadd_s(a0r, b3r, t03);
-                t10 = simd::fmadd_s(a1r, b0r, t10); t11 = simd::fmadd_s(a1r, b1r, t11);
-                t12 = simd::fmadd_s(a1r, b2r, t12); t13 = simd::fmadd_s(a1r, b3r, t13);
-            }
-            c(i, j) = t00; c(i, j + 1) = t01; c(i, j + 2) = t02; c(i, j + 3) = t03;
-            c(i + 1, j) = t10; c(i + 1, j + 1) = t11; c(i + 1, j + 2) = t12; c(i + 1, j + 3) = t13;
         }
-        for (; i < ma; ++i) {
-            const T* ai = a.col_data(i);
-            c(i, j) = simd::dot1_n(rows, ai, b0);
-            c(i, j + 1) = simd::dot1_n(rows, ai, b1);
-            c(i, j + 2) = simd::dot1_n(rows, ai, b2);
-            c(i, j + 3) = simd::dot1_n(rows, ai, b3);
-        }
+        if (last) break;
     }
-    for (; j < n; ++j) {
-        const T* bj = b.col_data(j);
-        for (int i = 0; i < ma; ++i)
-            c(i, j) = simd::dot1_n(rows, a.col_data(i), bj);
-    }
+    // Edges, through dot1_n itself: an odd last A column against the tiled
+    // B columns, and every A column against the B columns past the tiles.
+    for (int j = 0; j < n; ++j)
+        for (int i = j < n - n % 4 ? ma - ma % 2 : 0; i < ma; ++i)
+            c(i, j) = simd::dot1_n(rows, a.col_data(i), b.col_data(j));
 }
 
 }  // namespace detail

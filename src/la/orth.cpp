@@ -8,10 +8,10 @@ namespace varmor::la {
 
 namespace {
 
-/// Projects v onto the orthogonal complement of the first `count` columns of
-/// `basis`, in place (one modified-Gram-Schmidt pass).
-void mgs_pass(const Matrix& basis, int count, Vector& v) {
-    for (int j = 0; j < count; ++j) {
+/// Projects v onto the orthogonal complement of the columns of `basis`, in
+/// place (one modified-Gram-Schmidt pass).
+void mgs_pass(const Matrix& basis, Vector& v) {
+    for (int j = 0; j < basis.cols(); ++j) {
         const double* q = basis.col_data(j);
         double coef = 0;
         for (int i = 0; i < v.size(); ++i) coef += q[i] * v[i];
@@ -25,28 +25,24 @@ Matrix orthonormalize(const Matrix& candidates, const OrthOptions& opts) {
     return extend_basis(Matrix(candidates.rows(), 0), candidates, opts);
 }
 
-Matrix extend_basis(const Matrix& basis, const Matrix& extra, const OrthOptions& opts) {
-    if (!basis.empty() && !extra.empty())
+Matrix extend_basis(Matrix basis, const Matrix& extra, const OrthOptions& opts) {
+    if (basis.empty())
+        basis = Matrix(extra.rows(), 0);
+    else if (!extra.empty())
         check(basis.rows() == extra.rows(), "extend_basis: row mismatch");
 
-    const int n = basis.empty() ? extra.rows() : basis.rows();
-    Matrix v(n, basis.cols() + extra.cols());
-    for (int j = 0; j < basis.cols(); ++j)
-        for (int i = 0; i < n; ++i) v(i, j) = basis(i, j);
-
-    int count = basis.cols();
     for (int j = 0; j < extra.cols(); ++j) {
         Vector w = extra.col(j);
         const double original = norm2(w);
         if (original == 0.0) continue;
-        for (int pass = 0; pass < opts.reorth_passes; ++pass) mgs_pass(v, count, w);
+        for (int pass = 0; pass < opts.reorth_passes; ++pass) mgs_pass(basis, w);
         const double remaining = norm2(w);
         if (remaining <= opts.drop_tol * original) continue;  // deflated
         const double inv = 1.0 / remaining;
-        for (int i = 0; i < n; ++i) v(i, count) = w[i] * inv;
-        ++count;
+        for (int i = 0; i < w.size(); ++i) w[i] *= inv;
+        basis.append_col(w);
     }
-    return v.cols_range(0, count);
+    return basis;
 }
 
 double orthonormality_error(const Matrix& v) {

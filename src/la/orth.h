@@ -23,8 +23,10 @@ Matrix orthonormalize(const Matrix& candidates, const OrthOptions& opts = {});
 /// Extends an existing orthonormal basis `basis` with the directions of
 /// `extra` not already represented, returning the enlarged orthonormal basis.
 /// This is the multi-point-expansion "combine the projection matrices" step.
-Matrix extend_basis(const Matrix& basis, const Matrix& extra,
-                    const OrthOptions& opts = {});
+/// Accepted columns are appended to `basis`'s own storage, so a caller that
+/// moves its basis in (`b = extend_basis(std::move(b), ...)`) grows it in
+/// place without copying it.
+Matrix extend_basis(Matrix basis, const Matrix& extra, const OrthOptions& opts = {});
 
 /// Max deviation of V^T V from identity — test/diagnostic helper.
 double orthonormality_error(const Matrix& v);

@@ -1,5 +1,7 @@
 #include "mor/krylov.h"
 
+#include <utility>
+
 #include "util/check.h"
 
 namespace varmor::mor {
@@ -16,19 +18,19 @@ Matrix block_arnoldi_extend(Matrix basis,
     if (!basis.empty())
         check(basis.rows() == x0.rows(), "block_arnoldi: dimension mismatch");
 
-    // Current block; orthonormalized before first use so deflation inside a
-    // block is handled too.
-    int before = basis.cols();
-    basis = la::extend_basis(basis, x0, opts);
-    Matrix block = basis.cols_range(before, basis.cols() - before);
+    // The current block is the columns [begin, basis.cols()); it is
+    // orthonormalized before first use so deflation inside a block is
+    // handled too, and the basis grows in place (extend_basis appends).
+    int begin = basis.cols();
+    basis = la::extend_basis(std::move(basis), x0, opts);
 
     for (int j = 1; j < blocks; ++j) {
-        if (block.empty()) break;  // Krylov space exhausted early
-        Matrix next(x0.rows(), block.cols());
-        for (int c = 0; c < block.cols(); ++c) next.set_col(c, apply_a(block.col(c)));
-        before = basis.cols();
-        basis = la::extend_basis(basis, next, opts);
-        block = basis.cols_range(before, basis.cols() - before);
+        const int end = basis.cols();
+        if (end == begin) break;  // Krylov space exhausted early
+        Matrix next(x0.rows(), end - begin);
+        for (int c = begin; c < end; ++c) next.set_col(c - begin, apply_a(basis.col(c)));
+        begin = end;
+        basis = la::extend_basis(std::move(basis), next, opts);
     }
     return basis;
 }

@@ -109,7 +109,7 @@ LowRankPmorResult lowrank_pmor(const circuit::ParametricSystem& sys,
                                          opts.orth);
         } else {
             // Theorem 1 without the adjoint spaces requires adding V^ itself.
-            basis = la::extend_basis(basis, svd.v, opts.orth);
+            basis = la::extend_basis(std::move(basis), svd.v, opts.orth);
         }
     };
 

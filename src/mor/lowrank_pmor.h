@@ -78,9 +78,17 @@ struct LowRankPmorResult {
     long sparse_solves = 0;    ///< triangular solves performed (linear in k and n_p)
 };
 
-/// Algorithm 1. Cost: ONE sparse LU of G0 plus matrix-implicit work —
-/// the same dominant cost as plain PRIMA on the nominal system, linear in
-/// s_order/param_order and in the number of parameters (section 4.2).
+/// Algorithm 1. Cost: ONE sparse LU of G0 plus matrix-implicit work. The
+/// triangular solves grow linearly in s_order/param_order and in the number
+/// of parameters (section 4.2). What dominates the time, though, is the
+/// dense O(n q^2) work on the n x q basis: its modified-Gram-Schmidt
+/// orthogonalization and the step-4 congruence of 2 + 2 n_p matrices. So
+/// the algorithm is not priced like one PRIMA run on the nominal system:
+/// the benchmark's traced `reduce` run (perfbench, seed 1; 4-vCPU Xeon,
+/// AVX2 arm) reads mor.lowrank_over_prima = 24-25, the sum of lowrank_pmor
+/// times over the sum of nominal PRIMA times on the same factors. It read
+/// 42-44 while the Lanczos storage was sized by its step cap, the basis was
+/// copied per Krylov block, and the congruence was not row-blocked.
 /// The congruence transform in step 4 projects the ORIGINAL sensitivity
 /// matrices (not their low-rank approximations), and preserves passivity.
 LowRankPmorResult lowrank_pmor(const circuit::ParametricSystem& sys,

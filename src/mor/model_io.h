@@ -44,10 +44,14 @@ void write_model_file(const ReducedModel& model, const std::string& path,
                       const ModelMeta* meta = nullptr);
 
 /// Reads a model; throws varmor::Error on malformed input (bad magic,
-/// unsupported version, truncated data, inconsistent dimensions). When
-/// `meta` is non-null it receives the file's metadata (empty/0 for a
-/// version-1 file). The content hash is parsed, not verified — callers that
-/// care (the model cache) compare against model_content_hash().
+/// unsupported version, truncated data, inconsistent dimensions, a header
+/// declaring more numbers than the remaining bytes can hold, a token that is
+/// not exactly one finite number, out-of-range values). The stream is read
+/// to its end into one buffer first, and nothing is allocated for the
+/// matrices before the header passes these checks. When `meta` is non-null
+/// it receives the file's metadata (empty/0 for a version-1 file). The
+/// content hash is parsed, not verified — callers that care (the model
+/// cache) compare against model_content_hash().
 ReducedModel read_model(std::istream& is, ModelMeta* meta = nullptr);
 ReducedModel read_model_file(const std::string& path, ModelMeta* meta = nullptr);
 

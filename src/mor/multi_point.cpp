@@ -30,7 +30,7 @@ MultiPointResult multi_point_basis(const solve::ParametricSolveContext& ctx,
         const sparse::SparseLu lu = ctx.factor_g(p, gc);
         ++out.factorizations;
         const la::Matrix vi = prima_basis(lu, gc.c, ctx.system().b, prima_opts);
-        out.basis = la::extend_basis(out.basis, vi, opts.orth);
+        out.basis = la::extend_basis(std::move(out.basis), vi, opts.orth);
     }
     return out;
 }

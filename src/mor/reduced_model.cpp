@@ -84,7 +84,11 @@ ReducedModel project(const circuit::ParametricSystem& sys, const Matrix& v) {
     check(v.cols() >= 1 && v.cols() <= sys.size(), "project: invalid basis width");
 
     auto congruence = [&](const sparse::Csc& m) {
-        // V^T (M V), exploiting sparsity of M.
+        // V^T (M V), exploiting sparsity of M. An empty M (a parameter that
+        // does not touch this matrix) projects to the zero block: bitwise
+        // what the product gives, since with M V = 0 every partial sum of
+        // finite entries is +0.
+        if (m.nnz() == 0) return Matrix(v.cols(), v.cols());
         return la::matmul_transA(v, m.apply(v));
     };
 

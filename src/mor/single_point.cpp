@@ -62,7 +62,7 @@ SinglePointResult single_point_basis(const circuit::ParametricSystem& sys,
               "(this combinatorial growth is the method's known weakness)");
         const Word word = frontier[cursor++];  // copy: frontier may reallocate
         ++out.words_generated;
-        out.basis = la::extend_basis(out.basis, [&] {
+        out.basis = la::extend_basis(std::move(out.basis), [&] {
             Matrix one(word.value.size(), 1);
             one.set_col(0, word.value);
             return one;

@@ -72,7 +72,7 @@ struct FullPencilPolicy {
 };
 
 /// Delay queries: one captured transient run per corner (one refactorization
-/// each) on the flush's shared forcing series. A corner's own failure fails
+/// each) on the batcher's shared forcing series. A corner's own failure fails
 /// its query only, and every other answer comes from this same batch —
 /// never from a re-run.
 struct DelayPolicy {
@@ -380,20 +380,22 @@ void QueryBatcher::execute() {
         add_chunks(pole_, FullPencilPolicy{&fallbacks_});
     }
 
-    // The delay lane's one per-flush step: the forcing series is corner-
-    // independent, so it is evaluated ONCE here on the flusher thread. Its
-    // failure would hit every corner served alone too, so it fails every
-    // delay of the flush.
-    std::vector<la::Vector> forcing;
-    if (!delay_.groups.empty()) {
+    // The delay lane's forcing series depends on the batcher's input and
+    // time grid only, so the first delay flush evaluates it on the flusher
+    // thread and later flushes reuse it. Evaluating it per flush would
+    // allocate and free steps x n doubles each time, a churn that makes the
+    // heap trim and refault under glibc's adaptive trim threshold. A failure
+    // is not kept: it fails every delay of that flush (each would fail
+    // served alone too), and the next delay flush retries.
+    if (!delay_.groups.empty() && forcing_.empty()) {
         try {
-            forcing = transient_->make_forcing(input_);
+            forcing_ = transient_->make_forcing(input_);
         } catch (...) {
             fail_lane(delay_, std::current_exception());
             delay_.groups.clear();
         }
     }
-    add_chunks(delay_, DelayPolicy{transient_, &forcing, observe_, level_});
+    add_chunks(delay_, DelayPolicy{transient_, &forcing_, observe_, level_});
 
     util::ThreadPool::run_tasks(opts_.threads, tasks);
 }

@@ -90,9 +90,10 @@ struct QueryFallbacks {
 ///   transfer(p, s)  ROM policy: stamp G~(p), C~(p) and Hessenberg-prepare
 ///                   per point (mor::RomEvalEngine), one O(q^2) solve per s
 ///   poles(p)        ROM policy: the same stamp, the engine pole kernel
-///   delay(p)        the flush's forcing step (TransientBatchRunner::
-///                   make_forcing), then one solve per corner: a full-system
-///                   transient run and its 50%-crossing delay
+///   delay(p)        the forcing step (TransientBatchRunner::make_forcing,
+///                   run at the first delay flush and kept), then one solve
+///                   per corner: a full-system transient run and its
+///                   50%-crossing delay
 ///
 /// Degraded serving (no ROM engine) is the full-pencil policy on the
 /// transfer and pole lanes: nothing to prepare, one exact QueryFallbacks
@@ -275,6 +276,9 @@ private:
     QueryFallbacks fallbacks_;
     const analysis::TransientBatchRunner* transient_;
     analysis::InputFn input_;
+    /// The delay forcing series of input_, empty until the first delay
+    /// flush evaluates it. Flusher thread only, like the lanes.
+    std::vector<la::Vector> forcing_;
     double level_ = 0.0;
     int observe_ = 0;
     QueryBatcherOptions opts_;

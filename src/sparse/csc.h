@@ -106,13 +106,7 @@ public:
     VectorT<T> apply(const VectorT<T>& x) const {
         check(x.size() == cols_, "Csc::apply: dimension mismatch");
         VectorT<T> y(rows_);
-        for (int j = 0; j < cols_; ++j) {
-            const T xj = x[j];
-            if (xj == T{}) continue;
-            for (int p = col_ptr_[static_cast<std::size_t>(j)];
-                 p < col_ptr_[static_cast<std::size_t>(j) + 1]; ++p)
-                y[row_idx_[static_cast<std::size_t>(p)]] += values_[static_cast<std::size_t>(p)] * xj;
-        }
+        scatter(x.data(), y.data());
         return y;
     }
 
@@ -120,27 +114,24 @@ public:
     VectorT<T> apply_transpose(const VectorT<T>& x) const {
         check(x.size() == rows_, "Csc::apply_transpose: dimension mismatch");
         VectorT<T> y(cols_);
-        for (int j = 0; j < cols_; ++j) {
-            T acc{};
-            for (int p = col_ptr_[static_cast<std::size_t>(j)];
-                 p < col_ptr_[static_cast<std::size_t>(j) + 1]; ++p)
-                acc += values_[static_cast<std::size_t>(p)] * x[row_idx_[static_cast<std::size_t>(p)]];
-            y[j] = acc;
-        }
+        gather(x.data(), y.data());
         return y;
     }
 
-    /// Y = A X column-wise.
+    /// Y = A X, each column bitwise apply(X.col(j)), computed straight into
+    /// Y's columns.
     MatrixT<T> apply(const MatrixT<T>& x) const {
+        check(x.rows() == cols_, "Csc::apply: dimension mismatch");
         MatrixT<T> y(rows_, x.cols());
-        for (int j = 0; j < x.cols(); ++j) y.set_col(j, apply(x.col(j)));
+        for (int j = 0; j < x.cols(); ++j) scatter(x.col_data(j), y.col_data(j));
         return y;
     }
 
-    /// Y = A^T X column-wise.
+    /// Y = A^T X, each column bitwise apply_transpose(X.col(j)).
     MatrixT<T> apply_transpose(const MatrixT<T>& x) const {
+        check(x.rows() == rows_, "Csc::apply_transpose: dimension mismatch");
         MatrixT<T> y(cols_, x.cols());
-        for (int j = 0; j < x.cols(); ++j) y.set_col(j, apply_transpose(x.col(j)));
+        for (int j = 0; j < x.cols(); ++j) gather(x.col_data(j), y.col_data(j));
         return y;
     }
 
@@ -155,6 +146,28 @@ public:
     }
 
 private:
+    /// y += A x for a zeroed y of length rows_ (column-by-column scatter).
+    void scatter(const T* x, T* y) const {
+        for (int j = 0; j < cols_; ++j) {
+            const T xj = x[j];
+            if (xj == T{}) continue;
+            for (int p = col_ptr_[static_cast<std::size_t>(j)];
+                 p < col_ptr_[static_cast<std::size_t>(j) + 1]; ++p)
+                y[row_idx_[static_cast<std::size_t>(p)]] += values_[static_cast<std::size_t>(p)] * xj;
+        }
+    }
+
+    /// y = A^T x (one sparse dot per column of A).
+    void gather(const T* x, T* y) const {
+        for (int j = 0; j < cols_; ++j) {
+            T acc{};
+            for (int p = col_ptr_[static_cast<std::size_t>(j)];
+                 p < col_ptr_[static_cast<std::size_t>(j) + 1]; ++p)
+                acc += values_[static_cast<std::size_t>(p)] * x[row_idx_[static_cast<std::size_t>(p)]];
+            y[j] = acc;
+        }
+    }
+
     int rows_ = 0;
     int cols_ = 0;
     std::vector<int> col_ptr_{0};

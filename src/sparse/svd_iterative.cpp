@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "la/ops.h"
 #include "la/orth.h"
@@ -14,11 +15,11 @@ using la::Vector;
 
 namespace {
 
-/// Orthogonalizes v against the first `count` columns of basis (two MGS
-/// passes) and returns its remaining norm.
-double orthogonalize_against(const Matrix& basis, int count, Vector& v) {
+/// Orthogonalizes v against the columns of basis (two MGS passes) and
+/// returns its remaining norm.
+double orthogonalize_against(const Matrix& basis, Vector& v) {
     for (int pass = 0; pass < 2; ++pass) {
-        for (int j = 0; j < count; ++j) {
+        for (int j = 0; j < basis.cols(); ++j) {
             const double* q = basis.col_data(j);
             double coef = 0;
             for (int i = 0; i < v.size(); ++i) coef += q[i] * v[i];
@@ -38,28 +39,30 @@ SvdResult truncated_svd_lanczos(const LinearOperator& op, int rank,
     const int kmax = std::min({opts.max_iterations, m, n});
     check(kmax >= 1, "truncated_svd_lanczos: empty operator");
 
+    // The Lanczos vectors grow by one column per step taken: convergence
+    // usually comes within a handful of steps, far below kmax. Column k of
+    // vv joins together with column k of uu, so both hold exactly the
+    // accepted steps.
     util::Rng rng(opts.seed);
-    Matrix uu(m, kmax);  // left Lanczos vectors
-    Matrix vv(n, kmax);  // right Lanczos vectors
+    Matrix uu(m, 0);  // left Lanczos vectors
+    Matrix vv(n, 0);  // right Lanczos vectors
     std::vector<double> alpha, beta;
 
     // Start vector.
     Vector v(n);
     for (int i = 0; i < n; ++i) v[i] = rng.normal();
     la::scale(v, 1.0 / la::norm2(v));
-    vv.set_col(0, v);
 
     std::vector<double> prev_sv;
-    int steps = 0;
     for (int k = 0; k < kmax; ++k) {
         // u_k = M v_k - beta_{k-1} u_{k-1}, then full reorthogonalization.
-        Vector u = op.apply(vv.col(k));
-        const double unorm = orthogonalize_against(uu, k, u);
+        Vector u = op.apply(v);
+        const double unorm = orthogonalize_against(uu, u);
         if (unorm <= 1e-300) break;  // invariant subspace exhausted
         la::scale(u, 1.0 / unorm);
         alpha.push_back(unorm);
-        uu.set_col(k, u);
-        ++steps;
+        uu.append_col(u);
+        vv.append_col(v);
 
         // Convergence check on the bidiagonal section every few steps.
         if (static_cast<int>(alpha.size()) >= rank && (k % 2 == 1 || k == kmax - 1)) {
@@ -88,13 +91,14 @@ SvdResult truncated_svd_lanczos(const LinearOperator& op, int rank,
         if (k + 1 == kmax) break;
         // v_{k+1} = M^T u_k - alpha_k v_k, full reorthogonalization.
         Vector w = op.apply_transpose(u);
-        const double wnorm = orthogonalize_against(vv, k + 1, w);
+        const double wnorm = orthogonalize_against(vv, w);
         if (wnorm <= 1e-300) break;
         la::scale(w, 1.0 / wnorm);
         beta.push_back(wnorm);
-        vv.set_col(k + 1, w);
+        v = std::move(w);
     }
 
+    const int steps = uu.cols();
     check(steps >= 1, "truncated_svd_lanczos: breakdown before first step");
 
     // SVD of the bidiagonal section B (steps x steps).
@@ -105,18 +109,9 @@ SvdResult truncated_svd_lanczos(const LinearOperator& op, int rank,
     }
     const SvdResult bs = la::svd(b);
     const int r = std::min(rank, steps);
-
-    SvdResult out{Matrix(m, r), std::vector<double>(static_cast<std::size_t>(r)), Matrix(n, r)};
-    const Matrix uk = uu.cols_range(0, steps);
-    const Matrix vk = vv.cols_range(0, steps);
-    const Matrix pu = la::matmul(uk, bs.u.cols_range(0, r));
-    const Matrix pv = la::matmul(vk, bs.v.cols_range(0, r));
-    for (int j = 0; j < r; ++j) {
-        out.s[static_cast<std::size_t>(j)] = bs.s[static_cast<std::size_t>(j)];
-        for (int i = 0; i < m; ++i) out.u(i, j) = pu(i, j);
-        for (int i = 0; i < n; ++i) out.v(i, j) = pv(i, j);
-    }
-    return out;
+    return {la::matmul(uu, bs.u.cols_range(0, r)),
+            std::vector<double>(bs.s.begin(), bs.s.begin() + r),
+            la::matmul(vv, bs.v.cols_range(0, r))};
 }
 
 SvdResult truncated_svd_randomized(const LinearOperator& op, int rank,

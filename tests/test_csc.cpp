@@ -103,11 +103,26 @@ TEST(Csc, FromDenseRoundTrip) {
 }
 
 TEST(Csc, ApplyToMatrix) {
+    // The block forms are bitwise the column-wise vector forms, a zero
+    // column of X included.
     util::Rng rng(6);
     Csc a = random_sparse(10, 0.3, rng);
     Matrix x = random_matrix(10, 3, rng);
-    expect_near(a.apply(x), la::matmul(a.to_dense(), x), 1e-11);
-    expect_near(a.apply_transpose(x), la::matmul_transA(a.to_dense(), x), 1e-11);
+    for (int i = 0; i < 10; ++i) x(i, 1) = 0.0;
+    const Matrix y = a.apply(x);
+    const Matrix yt = a.apply_transpose(x);
+    for (int j = 0; j < 3; ++j) {
+        const Vector yj = a.apply(x.col(j));
+        const Vector ytj = a.apply_transpose(x.col(j));
+        for (int i = 0; i < 10; ++i) {
+            EXPECT_EQ(y(i, j), yj[i]) << i << "," << j;
+            EXPECT_EQ(yt(i, j), ytj[i]) << i << "," << j;
+        }
+    }
+    // A block with the wrong row count is rejected even when it has no
+    // columns to apply.
+    EXPECT_THROW(a.apply(Matrix(9, 0)), Error);
+    EXPECT_THROW(a.apply_transpose(Matrix(11, 0)), Error);
 }
 
 TEST(Csc, DimensionMismatchThrows) {

@@ -71,6 +71,17 @@ TEST(ModelIo, MalformedInputsThrow) {
     EXPECT_THROW(parse("varmor-rom 1\nsize 1 ports 1 params 0\nG0 1.0\n"), Error);  // truncated
     // Wrong section order.
     EXPECT_THROW(parse("varmor-rom 1\nsize 1 ports 1 params 0\nC0 1.0\n"), Error);
+    // Numbers: non-finite tokens, trailing garbage, out of range.
+    const std::string head = "varmor-rom 1\nsize 1 ports 1 params 0\nG0 ";
+    const std::string tail = "\nC0 1\nB 1\nL 1\n";
+    EXPECT_NO_THROW(parse(head + "2.5" + tail));
+    for (const char* bad : {"nan", "inf", "-inf", "2.5x", "1e999"})
+        EXPECT_THROW(parse(head + bad + tail), Error) << bad;
+    // A 52-byte file whose header claims q = 200000 (3.2e11 bytes of G0
+    // alone) is rejected as malformed, not answered with an allocation.
+    const std::string huge = "varmor-rom 1\nsize 200000 ports 1 params 0\nG0 1.25 2\n";
+    ASSERT_EQ(huge.size(), 52u);
+    EXPECT_THROW(parse(huge), Error);
 }
 
 TEST(ModelIo, Version1FilesStillReadable) {

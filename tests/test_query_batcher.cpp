@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <future>  // std::future_status — the ticket's wait_for vocabulary
@@ -288,6 +289,42 @@ TEST(QueryBatcher, ForcingFailureFailsEveryDelayOfTheFlushOnly) {
         EXPECT_EQ(got[k].imag(), ref[k].imag());
     }
     EXPECT_EQ(batcher.stats().flush_failures, 0);
+}
+
+TEST(QueryBatcher, DelayForcingIsEvaluatedOnceAndAFailureIsRetried) {
+    // The forcing series depends on the batcher's input only: the first
+    // delay flush evaluates it and later flushes reuse it. A failed
+    // evaluation fails that flush's delays and is not kept.
+    Fixture fx;
+    QueryBatcherOptions opts;
+    opts.max_batch = 1000;
+    opts.max_wait_ms = 60000.0;  // flushes only at the flush() markers
+    opts.threads = 1;
+    std::atomic<int> calls{0};
+    const analysis::InputFn flaky = [&](double t) {
+        if (calls++ == 0) throw Error("input not ready");
+        return fx.input(t);
+    };
+    QueryBatcher batcher(fx.engine, &fx.runner, flaky, fx.level, fx.observe(), opts);
+
+    const std::vector<double> p{0.1, -0.1};
+    auto failed = batcher.submit_delay(p);
+    batcher.flush();
+    EXPECT_THROW((void)failed.get(), Error);
+
+    auto first = batcher.submit_delay(p);
+    batcher.flush();
+    const int calls_after_first = calls.load();
+    auto second = batcher.submit_delay(p);
+    batcher.flush();
+    EXPECT_EQ(calls.load(), calls_after_first);  // the third flush reused the series
+    const DelayResult ref = fx.delay_alone(p);
+    for (Future<DelayResult>* d : {&first, &second}) {
+        const DelayResult got = d->get();
+        ASSERT_EQ(got.delay.has_value(), ref.delay.has_value());
+        if (ref.delay) EXPECT_EQ(*got.delay, *ref.delay);
+        EXPECT_EQ(got.level, ref.level);
+    }
 }
 
 std::vector<obs::Stage> stages_of(const obs::TraceRecord& record) {

@@ -275,15 +275,20 @@ TEST(SimdMatmul, TransAEntriesIndependentOfTilePosition) {
     // The documented gemm_transA invariant: every c(i, j) — register tile,
     // edge column, or remainder — reduces in the dot1_n order, so it is a
     // function of the two columns and the row count only. 9 x 7 forces the
-    // i-remainder (9 = 4 pairs + 1) and the j-remainder (7 = 4 + 3).
+    // i-remainder (9 = 4 pairs + 1) and the j-remainder (7 = 4 + 3). 2053
+    // rows span several row blocks, across which the tiles carry their
+    // accumulators, plus a scalar tail on the AVX2 arm (2053 = 4 * 513 + 1).
+    static_assert(2053 > 3 * detail::kTransARowBlock, "2053 rows must span several row blocks");
     util::Rng rng(59);
-    const Matrix a = testing::random_matrix(13, 9, rng);
-    const Matrix b = testing::random_matrix(13, 7, rng);
-    const Matrix c = matmul_transA(a, b);
-    for (int i = 0; i < 9; ++i)
-        for (int j = 0; j < 7; ++j)
-            EXPECT_EQ(c(i, j), simd::dot1_n(13, a.col_data(i), b.col_data(j)))
-                << i << "," << j;
+    for (int rows : {13, 2053}) {
+        const Matrix a = testing::random_matrix(rows, 9, rng);
+        const Matrix b = testing::random_matrix(rows, 7, rng);
+        const Matrix c = matmul_transA(a, b);
+        for (int i = 0; i < 9; ++i)
+            for (int j = 0; j < 7; ++j)
+                EXPECT_EQ(c(i, j), simd::dot1_n(rows, a.col_data(i), b.col_data(j)))
+                    << rows << ": " << i << "," << j;
+    }
 }
 
 // ---------------------------------------------------------------------------
