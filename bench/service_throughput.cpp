@@ -219,7 +219,9 @@ int main(int argc, char** argv) {
     const double qps_alone = 1e3 * nq / ms_alone;
     const double qps_batched = 1e3 * nq / ms_batched;
     const double speedup = qps_batched / qps_alone;
-    const service::QueryBatcherStats qs = session.batcher().stats();
+    const obs::Snapshot qs = session.batcher().telemetry();
+    const long long transfer_groups = qs.counter("batcher.transfer_groups");
+    const long long transfer_queries = qs.counter("batcher.transfer_queries");
 
     util::Table table({"serving path (" + std::to_string(nq) + " queries)",
                        "time [ms]", "queries/sec", "speedup"});
@@ -230,9 +232,10 @@ int main(int argc, char** argv) {
                    util::Table::num(ms_batched, 4), util::Table::num(qps_batched, 1),
                    util::Table::num(speedup, 3)});
     table.print(std::cout);
-    std::printf("coalescing: %ld transfer stamps for %ld transfer queries; "
-                "%ld batches, largest %d\n",
-                qs.transfer_groups, qs.transfer_queries, qs.batches, qs.largest_batch);
+    std::printf("coalescing: %lld transfer stamps for %lld transfer queries; "
+                "%lld batches, largest %lld\n",
+                transfer_groups, transfer_queries, qs.counter("batcher.batches"),
+                qs.gauge("batcher.largest_batch"));
     // One coherent snapshot for the whole featured run: slab occupancy and
     // pool scheduling (the two former hand-rolled printing blocks) plus
     // cache/disk/fault counters and the per-stage latency histograms.
@@ -245,10 +248,10 @@ int main(int argc, char** argv) {
     checks.expect(max_deviation(alone, batched) == 0.0,
                   "batched serving is bit-identical to unbatched single-client "
                   "serving");
-    checks.expect(qs.transfer_groups < qs.transfer_queries,
+    checks.expect(transfer_groups < transfer_queries,
                   "the batcher actually coalesced transfer queries (groups < "
                   "queries)");
-    checks.expect(qs.shed == 0 && qs.expired == 0,
+    checks.expect(qs.counter("batcher.shed") == 0 && qs.counter("batcher.expired") == 0,
                   "nothing was shed or expired under the featured run's "
                   "generous bounds (the machinery ran; it never fired)");
 
@@ -443,9 +446,6 @@ int main(int argc, char** argv) {
     checks.expect(max_deviation(small_alone, small_batched) == 0.0,
                   "small-model batched serving is bit-identical to unbatched");
 
-    const util::ThreadPool::ProcessCounters pool_totals =
-        util::ThreadPool::process_counters();
-
     // The featured service's unified snapshot, taken once everything ran:
     // process-wide registry + pool + fault + trace-store exports, plus this
     // service's cache/disk and per-lane batcher/slab instruments.
@@ -464,8 +464,8 @@ int main(int argc, char** argv) {
          << "  \"qps_unbatched\": " << qps_alone << ",\n"
          << "  \"qps_batched\": " << qps_batched << ",\n"
          << "  \"speedup\": " << speedup << ",\n"
-         << "  \"transfer_queries\": " << qs.transfer_queries << ",\n"
-         << "  \"transfer_groups\": " << qs.transfer_groups << ",\n"
+         << "  \"transfer_queries\": " << transfer_queries << ",\n"
+         << "  \"transfer_groups\": " << transfer_groups << ",\n"
          << "  \"ms_open_cold\": " << ms_open << ",\n"
          << "  \"ms_open_warm\": " << ms_warm_open << ",\n"
          << "  \"ms_guarded\": " << ms_guarded << ",\n"
@@ -481,10 +481,10 @@ int main(int argc, char** argv) {
          << "  \"small_gate\": " << small_gate << ",\n"
          << "  \"pool_width\": " << pool_width << ",\n"
          << "  \"effective_width\": " << eff_width << ",\n"
-         << "  \"pool_sections\": " << pool_totals.sections << ",\n"
-         << "  \"pool_chunks\": " << pool_totals.chunks << ",\n"
-         << "  \"pool_steals\": " << pool_totals.steals << ",\n"
-         << "  \"pool_queue_high_water\": " << pool_totals.queue_high_water << ",\n"
+         << "  \"pool_sections\": " << telemetry.counter("pool.sections") << ",\n"
+         << "  \"pool_chunks\": " << telemetry.counter("pool.chunks") << ",\n"
+         << "  \"pool_steals\": " << telemetry.counter("pool.steals") << ",\n"
+         << "  \"pool_queue_high_water\": " << telemetry.gauge("pool.queue_high_water") << ",\n"
          << "  \"telemetry_compiled_in\": " << (obs::kCompiledIn ? "true" : "false") << ",\n"
          << "  \"ms_obs_on\": " << ms_obs_on << ",\n"
          << "  \"ms_obs_off\": " << ms_obs_off << ",\n"

@@ -50,7 +50,7 @@ int main() {
 
     util::Timer t;
     service::StudySession& session = service.open(sys);
-    std::printf("first open(): %.1f ms (reductions performed: %ld)\n",
+    std::printf("first open(): %.1f ms (reductions performed: %lld)\n",
                 t.milliseconds(), cache.stats().builds);
     std::printf("served model: q = %d, cache key %s\n\n",
                 session.study().cached_rom().size(), session.key().hex().c_str());
@@ -86,18 +86,19 @@ int main() {
 
     int total = 0;
     for (int a : answered) total += a;
-    const service::QueryBatcherStats qs = session.batcher().stats();
+    const obs::Snapshot qs = session.batcher().telemetry();
     std::printf("\n%d queries answered in %.1f ms (%.0f queries/sec)\n", total,
                 ms_traffic, 1e3 * total / ms_traffic);
-    std::printf("batches: %ld (largest %d); transfer stamps: %ld for %ld queries\n",
-                qs.batches, qs.largest_batch, qs.transfer_groups, qs.transfer_queries);
+    std::printf("batches: %lld (largest %lld); transfer stamps: %lld for %lld queries\n",
+                qs.counter("batcher.batches"), qs.gauge("batcher.largest_batch"),
+                qs.counter("batcher.transfer_groups"), qs.counter("batcher.transfer_queries"));
 
     // ---- a second service on the same cache: the warm-hit path. ----------
     t.reset();
     service::StudyService second(cache, opts);
     service::StudySession& warm = second.open(sys);
-    std::printf("\nsecond service open(): %.1f ms, reductions still %ld "
-                "(memory hits %ld, disk hits %ld)\n",
+    std::printf("\nsecond service open(): %.1f ms, reductions still %lld "
+                "(memory hits %lld, disk hits %lld)\n",
                 t.milliseconds(), cache.stats().builds, cache.stats().memory_hits,
                 cache.stats().disk_hits);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -21,13 +22,26 @@ std::string lower(std::string s) {
 }
 
 double parse_number(const std::string& tok, int line) {
+    double v = 0.0;
     try {
         std::size_t consumed = 0;
-        const double v = std::stod(tok, &consumed);
+        v = std::stod(tok, &consumed);
         if (consumed != tok.size()) fail(line, "trailing characters in number '" + tok + "'");
-        return v;
     } catch (const std::exception&) {
         fail(line, "expected a number, got '" + tok + "'");
+    }
+    if (!std::isfinite(v)) fail(line, "expected a finite number, got '" + tok + "'");
+    return v;
+}
+
+/// A count: digits only (no sign, fraction or exponent), within int range.
+int parse_count(const std::string& tok, int line) {
+    if (tok.empty() || tok.find_first_not_of("0123456789") != std::string::npos)
+        fail(line, "expected a non-negative integer count, got '" + tok + "'");
+    try {
+        return std::stoi(tok);
+    } catch (const std::exception&) {
+        fail(line, "count '" + tok + "' is out of range");
     }
 }
 
@@ -124,8 +138,7 @@ Netlist parse_netlist(std::istream& is) {
         if (t == ".params") {
             std::string count;
             if (!(ss >> count)) fail(line_no, ".params needs a count");
-            num_params = static_cast<int>(parse_number(count, line_no));
-            if (num_params < 0) fail(line_no, "negative parameter count");
+            num_params = parse_count(count, line_no);
             params_seen = true;
             continue;
         }

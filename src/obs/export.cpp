@@ -4,19 +4,11 @@
 
 #include "obs/trace.h"
 #include "util/fault_injection.h"
-#include "util/thread_pool.h"
 
 namespace varmor::obs {
 
 Snapshot process_snapshot() {
     Snapshot s = Registry::global().snapshot();
-
-    const util::ThreadPool::ProcessCounters pool =
-        util::ThreadPool::process_counters();
-    s.add_counter("pool.chunks", pool.chunks);
-    s.add_counter("pool.steals", pool.steals);
-    s.add_counter("pool.sections", pool.sections);
-    s.add_gauge("pool.queue_high_water", pool.queue_high_water);
 
     // Fault points are registered dynamically by their call sites; export
     // each hit counter under the `fault.` prefix.

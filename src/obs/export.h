@@ -5,11 +5,11 @@
 namespace varmor::obs {
 
 /// One coherent snapshot of every process-wide telemetry source: the
-/// instrument Registry, the thread pool's scheduling counters (`pool.*`),
-/// the fault injector's hit counts (`fault.<point>`), and the trace store's
-/// occupancy (`obs.traces_*`). Component-owned stats that live per-object
-/// (cache shards, disk store, batcher lanes) are layered on top by
-/// service::export_telemetry / StudyService::telemetry().
+/// process Registry (thread-pool scheduling `pool.*` included), the fault
+/// injector's hit counts (`fault.<point>`), and the trace store's occupancy
+/// (`obs.traces_*`). Counters owned by a component instance (model cache,
+/// disk store, query batchers) are in that instance's own registry;
+/// StudyService::telemetry() merges them on top.
 Snapshot process_snapshot();
 
 }  // namespace varmor::obs

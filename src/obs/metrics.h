@@ -10,7 +10,7 @@
 #include "util/thread_annotations.h"
 
 // ---------------------------------------------------------------------------
-// src/obs — varmor's process-wide telemetry layer.
+// src/obs — varmor's telemetry layer.
 //
 // Three instrument kinds, all safe to hit from any thread without taking a
 // lock on the record path:
@@ -21,10 +21,10 @@
 //   Histogram  fixed 64-bucket log2 latency histogram; lock-free record,
 //              snapshots merge and answer p50/p95/p99.
 //
-// Instruments live in the process Registry (create-on-first-use, stable
-// addresses) and are read via Snapshot — an inert value type that merges and
-// serializes to JSON, so benches and StudyService::telemetry() share one
-// export path.
+// Instruments live in a Registry (create-on-first-use, stable addresses) —
+// the process one, or a serving component instance's own — and are read via
+// Snapshot, an inert value type that merges and serializes to JSON, so
+// benches and StudyService::telemetry() share one export path.
 //
 // Contract: observation NEVER perturbs results (instruments touch no
 // numerics) and stays cheap enough that bench/service_throughput gates the
@@ -114,6 +114,12 @@ public:
 
     void set(long long v) { v_.store(v, std::memory_order_relaxed); }
     void add(long long delta) { v_.fetch_add(delta, std::memory_order_relaxed); }
+    /// High-water mark: raises the level to `v` when `v` is higher.
+    void raise(long long v) {
+        long long seen = v_.load(std::memory_order_relaxed);
+        while (v > seen && !v_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
+        }
+    }
     long long value() const { return v_.load(std::memory_order_relaxed); }
     void reset() { v_.store(0, std::memory_order_relaxed); }
 
@@ -207,9 +213,10 @@ struct Snapshot {
     std::string to_json(int indent = 0) const;
 };
 
-/// Process-wide instrument registry. Instruments are created on first use
-/// and never destroyed or moved, so call sites may cache the returned
-/// reference (the idiomatic hot-path pattern:
+/// Instrument registry: the process-wide one (global()) or a component's
+/// own. Instruments are created on first use and never destroyed or moved
+/// while the registry lives, so call sites may cache the returned reference
+/// (the idiomatic hot-path pattern:
 /// `static obs::Counter& c = obs::Registry::global().counter("splu.x");`).
 class Registry {
 public:

@@ -89,14 +89,10 @@ std::shared_ptr<const mor::ReducedModel> DiskStore::load(const std::string& key_
             // same on every retry, so a verify failure is a MISS (rebuild),
             // never a retry and never a crash.
             if (meta.content_hash != mor::model_content_hash(*model)) {
-                util::MutexLock lock(stats_mutex_);
-                ++stats_.load_failures;
+                registry_.counter("disk_store.load_failures").add();
                 return nullptr;
             }
-            {
-                util::MutexLock lock(stats_mutex_);
-                ++stats_.loads;
-            }
+            registry_.counter("disk_store.loads").add();
             return model;
         } catch (const std::exception&) {
             // Unreadable == transient until the retry budget says otherwise.
@@ -104,12 +100,11 @@ std::shared_ptr<const mor::ReducedModel> DiskStore::load(const std::string& key_
             // line can surface as bad_alloc/length_error from the matrix
             // allocation, and that too must end as a rebuild, never a crash
             // in the serving path.
-            util::MutexLock lock(stats_mutex_);
             if (attempt == opts_.retry.attempts) {
-                ++stats_.load_failures;
+                registry_.counter("disk_store.load_failures").add();
                 return nullptr;
             }
-            ++stats_.retries;
+            registry_.counter("disk_store.retries").add();
         }
         backoff_sleep(opts_.retry, attempt);
     }
@@ -137,21 +132,17 @@ bool DiskStore::store(const std::string& key_hex, const mor::ReducedModel& model
         } catch (const std::exception&) {
             std::error_code ec;
             fs::remove(tmp, ec);  // this attempt's leftovers, best-effort
-            util::MutexLock lock(stats_mutex_);
             if (attempt == opts_.retry.attempts) {
-                ++stats_.store_failures;
+                registry_.counter("disk_store.store_failures").add();
             } else {
-                ++stats_.retries;
+                registry_.counter("disk_store.retries").add();
             }
         }
         if (!persisted && attempt < opts_.retry.attempts)
             backoff_sleep(opts_.retry, attempt);
     }
     if (persisted) {
-        {
-            util::MutexLock lock(stats_mutex_);
-            ++stats_.stores;
-        }
+        registry_.counter("disk_store.stores").add();
         util::FileLock store_lock =
             util::FileLock::acquire((fs::path(opts_.dir) / kStoreLockName).string());
         maintain_locked(key_hex);
@@ -183,10 +174,8 @@ void DiskStore::maintain_locked(const std::string& just_written_hex) {
             std::error_code age_ec;
             if (file_age_seconds(p, age_ec) >= opts_.tmp_ttl_seconds && !age_ec) {
                 std::error_code rm_ec;
-                if (fs::remove(p, rm_ec)) {
-                    util::MutexLock lock(stats_mutex_);
-                    ++stats_.tmp_removed;
-                }
+                if (fs::remove(p, rm_ec))
+                    registry_.counter("disk_store.tmp_removed").add();
             }
             continue;
         }
@@ -222,8 +211,7 @@ void DiskStore::maintain_locked(const std::string& just_written_hex) {
             std::error_code rm_ec;
             if (fs::remove(a.path, rm_ec)) {
                 total -= a.bytes;
-                util::MutexLock lock(stats_mutex_);
-                ++stats_.gc_removed;
+                registry_.counter("disk_store.gc_removed").add();
             } else {
                 kept.push_back(std::move(a));
             }
@@ -270,11 +258,6 @@ std::vector<std::string> DiskStore::manifest_keys() const {
     std::uint64_t bytes = 0;
     while (f >> key >> bytes) keys.push_back(key);
     return keys;
-}
-
-DiskStoreStats DiskStore::stats() const {
-    util::MutexLock lock(stats_mutex_);
-    return stats_;
 }
 
 }  // namespace varmor::service

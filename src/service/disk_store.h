@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "mor/reduced_model.h"
+#include "obs/metrics.h"
 #include "util/file_lock.h"
-#include "util/thread_annotations.h"
 
 namespace varmor::service {
 
@@ -28,18 +28,6 @@ struct DiskStoreOptions {
     double tmp_ttl_seconds = 60.0;     ///< age past which an orphaned .tmp.* file
                                        ///< (a crashed writer's leftovers) is removed
     RetryPolicy retry;
-};
-
-struct DiskStoreStats {
-    long loads = 0;           ///< verified reloads served
-    long load_failures = 0;   ///< probes that ended as a miss after read/verify
-                              ///< failure (corrupt or persistently unreadable)
-    long stores = 0;          ///< artifacts persisted
-    long store_failures = 0;  ///< persists abandoned after every retry (the
-                              ///< model is still served from memory)
-    long retries = 0;         ///< extra attempts taken by the retry policy
-    long gc_removed = 0;      ///< artifacts removed by the size-bound GC
-    long tmp_removed = 0;     ///< stale .tmp.* files cleaned up
 };
 
 /// Crash-safe shared artifact store — the ModelCache disk tier as a real
@@ -98,19 +86,25 @@ public:
     /// manifest does not exist yet.
     std::vector<std::string> manifest_keys() const;
 
-    DiskStoreStats stats() const EXCLUDES(stats_mutex_);
+    /// This store's `disk_store.*` counters (one still at zero may be
+    /// absent): `loads` (verified reloads served), `load_failures` (probes
+    /// that ended as a miss: corrupt or persistently unreadable), `stores`
+    /// (artifacts persisted), `store_failures` (persists abandoned after
+    /// every retry; the model is still served from memory), `retries` (extra
+    /// attempts of the retry policy), `gc_removed` (artifacts removed by the
+    /// size-bound GC) and `tmp_removed` (stale .tmp.* files cleaned up).
+    obs::Snapshot telemetry() const { return registry_.snapshot(); }
 
 private:
     std::string lock_path(const std::string& key_hex) const;
 
     /// Manifest rewrite + size GC + stale-tmp sweep. Caller holds the
     /// store-wide FILE lock (cross-process; invisible to the static
-    /// analysis) — stats_mutex_ is taken briefly per counter bump inside.
-    void maintain_locked(const std::string& just_written_hex) EXCLUDES(stats_mutex_);
+    /// analysis).
+    void maintain_locked(const std::string& just_written_hex);
 
     DiskStoreOptions opts_;
-    mutable util::Mutex stats_mutex_;
-    DiskStoreStats stats_ GUARDED_BY(stats_mutex_);
+    obs::Registry registry_;  ///< this store's counters, see telemetry()
 };
 
 }  // namespace varmor::service

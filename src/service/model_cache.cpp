@@ -44,7 +44,8 @@ CacheKey cache_key(const circuit::ParametricSystem& sys,
     return CacheKey{h.digest()};
 }
 
-ModelCache::ModelCache(const ModelCacheOptions& opts) : opts_(opts) {
+ModelCache::ModelCache(const ModelCacheOptions& opts)
+    : opts_(opts), memory_hits_(registry_.counter("model_cache.memory_hits")) {
     check(opts_.memory_capacity >= 1, "ModelCache: memory_capacity must be >= 1");
     check(opts_.memory_shards >= 1, "ModelCache: memory_shards must be >= 1");
     check(opts_.poison_after >= 1, "ModelCache: poison_after must be >= 1");
@@ -68,17 +69,12 @@ std::string ModelCache::disk_path(const CacheKey& key) const {
     return disk_->path(key.hex());
 }
 
-DiskStoreStats ModelCache::disk_stats() const {
-    if (!disk_) return {};
-    return disk_->stats();
-}
-
 ModelCache::ModelPtr ModelCache::memory_lookup_locked(Shard& sh,
                                                       const CacheKey& key) const {
     auto it = sh.index.find(key.value);
     if (it == sh.index.end()) return nullptr;
     sh.lru.splice(sh.lru.begin(), sh.lru, it->second);  // bump to most recent
-    ++sh.stats.memory_hits;
+    memory_hits_.add();
     return it->second->model;
 }
 
@@ -94,7 +90,7 @@ void ModelCache::insert_locked(Shard& sh, const CacheKey& key, ModelPtr model) c
     while (static_cast<int>(sh.lru.size()) > shard_capacity_) {
         sh.index.erase(sh.lru.back().key.value);
         sh.lru.pop_back();
-        ++sh.stats.evictions;
+        registry_.counter("model_cache.evictions").add();
     }
 }
 
@@ -107,8 +103,8 @@ ModelCache::ModelPtr ModelCache::lookup(const CacheKey& key) {
     if (!disk_) return nullptr;
     ModelPtr m = disk_->load(key.hex());
     if (m) {
+        registry_.counter("model_cache.disk_hits").add();
         util::MutexLock lock(sh.mutex);
-        ++sh.stats.disk_hits;
         insert_locked(sh, key, m);
     }
     return m;
@@ -133,7 +129,7 @@ void ModelCache::record_build_failure(const CacheKey& key, std::exception_ptr er
                        std::chrono::duration_cast<util::Deadline::clock::duration>(
                            std::chrono::duration<double, std::milli>(
                                opts_.poison_ttl_ms))};
-        ++sh.stats.poisonings;
+        registry_.counter("model_cache.poisonings").add();
     }
 }
 
@@ -145,8 +141,8 @@ ModelCache::ModelPtr ModelCache::build_miss(const CacheKey& key, const Builder& 
     const auto probe_disk = [&]() -> ModelPtr {
         ModelPtr m = disk_->load(hex);
         if (m) {
+            registry_.counter("model_cache.disk_hits").add();
             util::MutexLock lock(sh.mutex);
-            ++sh.stats.disk_hits;
             sh.consecutive_failures.erase(key.value);
             insert_locked(sh, key, m);
         }
@@ -178,9 +174,9 @@ ModelCache::ModelPtr ModelCache::build_miss(const CacheKey& key, const Builder& 
         throw;
     }
 
+    registry_.counter("model_cache.builds").add();
     {
         util::MutexLock lock(sh.mutex);
-        ++sh.stats.builds;
         sh.consecutive_failures.erase(key.value);
         sh.poisoned.erase(key.value);
         insert_locked(sh, key, model);
@@ -204,7 +200,7 @@ ModelCache::ModelPtr ModelCache::get_or_build(const CacheKey& key, const Builder
         auto it = sh.poisoned.find(key.value);
         if (it != sh.poisoned.end()) {
             if (util::Deadline::clock::now() < it->second.expiry) {
-                ++sh.stats.poison_hits;
+                registry_.counter("model_cache.poison_hits").add();
                 std::rethrow_exception(it->second.error);
             }
             sh.poisoned.erase(it);  // expired — try a real build again
@@ -221,7 +217,8 @@ void ModelCache::evict_memory() {
     for (const auto& shard_ptr : shards_) {
         Shard& sh = *shard_ptr;
         util::MutexLock lock(sh.mutex);
-        sh.stats.evictions += static_cast<long>(sh.lru.size());
+        registry_.counter("model_cache.evictions")
+            .add(static_cast<long long>(sh.lru.size()));
         sh.lru.clear();
         sh.index.clear();
     }
@@ -238,27 +235,18 @@ int ModelCache::memory_size() const {
 }
 
 ModelCacheStats ModelCache::stats() const {
-    ModelCacheStats total;
-    for (const ModelCacheStats& s : shard_stats()) {
-        total.memory_hits += s.memory_hits;
-        total.disk_hits += s.disk_hits;
-        total.builds += s.builds;
-        total.evictions += s.evictions;
-        total.poisonings += s.poisonings;
-        total.poison_hits += s.poison_hits;
-    }
-    return total;
+    const obs::Snapshot s = registry_.snapshot();
+    return {s.counter("model_cache.memory_hits"), s.counter("model_cache.disk_hits"),
+            s.counter("model_cache.builds"), s.counter("model_cache.evictions"),
+            s.counter("model_cache.poisonings"), s.counter("model_cache.poison_hits")};
 }
 
-std::vector<ModelCacheStats> ModelCache::shard_stats() const {
-    std::vector<ModelCacheStats> out;
-    out.reserve(shards_.size());
-    for (const auto& shard_ptr : shards_) {
-        const Shard& sh = *shard_ptr;
-        util::MutexLock lock(sh.mutex);
-        out.push_back(sh.stats);
-    }
-    return out;
+obs::Snapshot ModelCache::telemetry() const {
+    obs::Snapshot s = registry_.snapshot();
+    s.add_gauge("model_cache.shards", num_shards());
+    s.add_gauge("model_cache.memory_size", memory_size());
+    if (disk_) s.merge(disk_->telemetry());
+    return s;
 }
 
 }  // namespace varmor::service

@@ -12,6 +12,7 @@
 #include "circuit/parametric_system.h"
 #include "mor/lowrank_pmor.h"
 #include "mor/reduced_model.h"
+#include "obs/metrics.h"
 #include "service/disk_store.h"
 #include "util/deadline.h"
 #include "util/single_flight.h"
@@ -77,14 +78,17 @@ struct ModelCacheOptions {
     double poison_ttl_ms = 250.0;
 };
 
+/// The `model_cache.*` counters of one cache, read from its registry: the
+/// typed read for callers that check single counts (tests, the perfbench
+/// reduce workload). ModelCache::telemetry() exports the same counters.
 struct ModelCacheStats {
-    long memory_hits = 0;
-    long disk_hits = 0;    ///< loaded + hash-verified from the disk tier
-    long builds = 0;       ///< builder invocations — the "zero reduction work
-                           ///< on a warm hit" assertion counts THIS
-    long evictions = 0;    ///< memory-tier drops (disk copies persist)
-    long poisonings = 0;   ///< keys marked poisoned by repeated build failure
-    long poison_hits = 0;  ///< requests answered by the negative cache
+    long long memory_hits = 0;
+    long long disk_hits = 0;    ///< loaded + hash-verified from the disk tier
+    long long builds = 0;       ///< builder invocations — the "zero reduction
+                                ///< work on a warm hit" assertion counts THIS
+    long long evictions = 0;    ///< memory-tier drops (disk copies persist)
+    long long poisonings = 0;   ///< keys marked poisoned by repeated build failure
+    long long poison_hits = 0;  ///< requests answered by the negative cache
 };
 
 /// Content-addressed registry of reduced models — the serving layer's answer
@@ -99,7 +103,7 @@ struct ModelCacheStats {
 ///
 /// Failure containment:
 ///  - A persist failure never fails the build — the model is served from
-///    memory and the store failure is counted (DiskStoreStats).
+///    memory and the store failure is counted (disk_store.store_failures).
 ///  - A builder failure propagates to every coalesced waiter; after
 ///    `poison_after` consecutive failures the key is negative-cached for
 ///    `poison_ttl_ms` and requests fail fast instead of re-running the
@@ -113,8 +117,8 @@ struct ModelCacheStats {
 /// Thread-safety: all public methods are safe to call concurrently. The
 /// in-memory tier is SHARDED by cache key (ModelCacheOptions::memory_shards
 /// independent mutex+LRU shards), so concurrent warm hits on different keys
-/// never serialize on a cache-wide lock; counters are kept per shard and
-/// aggregated on read. Builders run OUTSIDE every shard lock (other keys —
+/// never serialize on a cache-wide lock; counters live in the cache's own
+/// obs::Registry. Builders run OUTSIDE every shard lock (other keys —
 /// and other shards — proceed during a build); single-flight and the disk
 /// tier are shared across shards, unchanged.
 class ModelCache {
@@ -163,15 +167,13 @@ public:
     DiskStore* disk_store() { return disk_.get(); }
     const DiskStore* disk_store() const { return disk_.get(); }
 
-    /// Disk-tier counters (zeros when memory-only).
-    DiskStoreStats disk_stats() const;
-
     int memory_size() const;
     ModelCacheStats stats() const;
 
-    /// Per-shard stats snapshot (stats() is the sum) — the contention /
-    /// distribution picture for tests and ops.
-    std::vector<ModelCacheStats> shard_stats() const;
+    /// This cache's `model_cache.*` counters, the gauges
+    /// `model_cache.shards` and `model_cache.memory_size`, and the disk
+    /// tier's `disk_store.*` counters when there is one.
+    obs::Snapshot telemetry() const;
 
 private:
     struct Entry {
@@ -185,9 +187,9 @@ private:
         util::Deadline::clock::time_point expiry;
     };
 
-    /// One independent slice of the in-memory tier: its own lock, LRU order,
-    /// negative cache and counters. Keys map to shards by shard_of; nothing
-    /// ever migrates between shards.
+    /// One independent slice of the in-memory tier: its own lock, LRU order
+    /// and negative cache. Keys map to shards by shard_of; nothing ever
+    /// migrates between shards.
     struct Shard {
         mutable util::Mutex mutex;
         std::list<Entry> lru GUARDED_BY(mutex);  ///< front = most recently used
@@ -196,7 +198,6 @@ private:
         std::unordered_map<std::uint64_t, Poison> poisoned GUARDED_BY(mutex);
         std::unordered_map<std::uint64_t, int> consecutive_failures
             GUARDED_BY(mutex);
-        ModelCacheStats stats GUARDED_BY(mutex);
     };
 
     Shard& shard(const CacheKey& key) const {
@@ -221,6 +222,11 @@ private:
     void record_build_failure(const CacheKey& key, std::exception_ptr error);
 
     ModelCacheOptions opts_;
+    /// The `model_cache.*` counters. Warm hits bump `memory_hits_`, resolved
+    /// once so they never take the registry lock; the cold paths (misses,
+    /// evictions, failed builds) look their counter up by name.
+    mutable obs::Registry registry_;
+    obs::Counter& memory_hits_;
     int shard_capacity_ = 0;  ///< ceil(memory_capacity / memory_shards)
     std::unique_ptr<DiskStore> disk_;  ///< null when memory-only
     util::SingleFlight<std::uint64_t, ModelPtr> flight_;

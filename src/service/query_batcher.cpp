@@ -18,6 +18,14 @@ std::string point_detail(const std::vector<double>& p) {
     return p.empty() ? std::string() : std::to_string(p[0]);
 }
 
+void export_slab(const std::string& prefix, const util::ResultSlabStats& s,
+                 obs::Snapshot& out) {
+    out.add_gauge(prefix + ".capacity", static_cast<long long>(s.capacity));
+    out.add_gauge(prefix + ".in_use", static_cast<long long>(s.in_use));
+    out.add_counter(prefix + ".opened", s.opened);
+    out.add_counter(prefix + ".recycled", s.recycled);
+}
+
 /// Chunk count for fanning `n` lane units into the combined task set:
 /// mirrors the pool's own oversubscription so the work-stealing scheduler
 /// has slack to interleave lanes, without one task per unit.
@@ -111,6 +119,15 @@ QueryBatcher::QueryBatcher(const mor::RomEvalEngine* engine, QueryFallbacks fall
       transfer_("transfer", obs::Registry::global().histogram("transfer.latency_ns")),
       pole_("pole", obs::Registry::global().histogram("pole.latency_ns")),
       delay_("delay", obs::Registry::global().histogram("delay.latency_ns")),
+      queries_(registry_.counter("batcher.queries")),
+      batches_(registry_.counter("batcher.batches")),
+      largest_batch_(registry_.gauge("batcher.largest_batch")),
+      transfer_queries_(registry_.counter("batcher.transfer_queries")),
+      transfer_groups_(registry_.counter("batcher.transfer_groups")),
+      shed_(registry_.counter("batcher.shed")),
+      expired_(registry_.counter("batcher.expired")),
+      rejected_closed_(registry_.counter("batcher.rejected_closed")),
+      flush_failures_(registry_.counter("batcher.flush_failures")),
       obs_queue_wait_(obs::Registry::global().histogram("query.queue_wait_ns")),
       obs_stamp_(obs::Registry::global().histogram("query.stamp_ns")),
       obs_solve_(obs::Registry::global().histogram("query.solve_ns")),
@@ -154,10 +171,7 @@ Future<Result> QueryBatcher::admit(Lane<Arg, Result>& lane, Query<Arg, Result> q
     // clock read) when telemetry is off.
     query.trace = obs::QueryTrace::mint();
     if (query.deadline.expired()) {
-        {
-            util::MutexLock lock(stats_mutex_);
-            ++stats_.expired;
-        }
+        expired_.add();
         lane.slab.set_error(opened.first,
                             std::make_exception_ptr(DeadlineExceeded(
                                 "QueryBatcher: deadline expired before admission")));
@@ -172,10 +186,7 @@ Future<Result> QueryBatcher::admit(Lane<Arg, Result>& lane, Query<Arg, Result> q
         case util::PushStatus::kOk:
             break;
         case util::PushStatus::kFull: {
-            {
-                util::MutexLock lock(stats_mutex_);
-                ++stats_.shed;
-            }
+            shed_.add();
             lane.slab.set_error(opened.first, std::make_exception_ptr(OverloadError(
                                                   "QueryBatcher: shed — " +
                                                   std::to_string(opts_.max_pending) +
@@ -183,10 +194,7 @@ Future<Result> QueryBatcher::admit(Lane<Arg, Result>& lane, Query<Arg, Result> q
             break;
         }
         case util::PushStatus::kClosed: {
-            {
-                util::MutexLock lock(stats_mutex_);
-                ++stats_.rejected_closed;
-            }
+            rejected_closed_.add();
             lane.slab.set_error(opened.first, std::make_exception_ptr(ServiceClosed(
                                                   "QueryBatcher: submit after close")));
             break;
@@ -224,9 +232,20 @@ void QueryBatcher::flush() {
     opened.second.get();
 }
 
-QueryBatcherStats QueryBatcher::stats() const {
-    util::MutexLock lock(stats_mutex_);
-    return stats_;
+obs::Snapshot QueryBatcher::telemetry() const {
+    obs::Snapshot s = registry_.snapshot();
+    export_slab("slab_transfer", transfer_.slab.stats(), s);
+    export_slab("slab_delay", delay_.slab.stats(), s);
+    export_slab("slab_pole", pole_.slab.stats(), s);
+    return s;
+}
+
+void QueryBatcher::roll_up(obs::Snapshot& total) const {
+    const obs::Snapshot mine = telemetry();
+    const long long largest = std::max(total.gauge("batcher.largest_batch"),
+                                       mine.gauge("batcher.largest_batch"));
+    total.merge(mine);
+    total.gauges["batcher.largest_batch"] = largest;
 }
 
 void QueryBatcher::flusher_loop() {
@@ -258,12 +277,9 @@ void QueryBatcher::flusher_loop() {
                 obs::QueryTrace& trace = query->trace;
                 if (query->deadline.expired()) {
                     // Count BEFORE failing the channel (same order as admit):
-                    // a stats() read right after this ticket resolves must
-                    // already see the expiry.
-                    {
-                        util::MutexLock lock(stats_mutex_);
-                        ++stats_.expired;
-                    }
+                    // a telemetry() read right after this ticket resolves
+                    // must already see the expiry.
+                    expired_.add();
                     // An expired query's trace still tells its story: all
                     // queue-wait, resolved as a failure, recorded now (it
                     // will never reach a chunk).
@@ -307,16 +323,13 @@ void QueryBatcher::flusher_loop() {
             }
         }
 
-        // Publish the batch's stats BEFORE execution: the first set_value
-        // below releases a waiting client, and a stats() read right after a
+        // Count the batch BEFORE execution: the first set_value below
+        // releases a waiting client, and a telemetry() read right after a
         // ticket resolves (or after flush() returns) must already see the
         // batch that produced it.
-        {
-            util::MutexLock lock(stats_mutex_);
-            stats_.queries += nqueries;
-            ++stats_.batches;
-            stats_.largest_batch = std::max(stats_.largest_batch, nqueries);
-        }
+        queries_.add(nqueries);
+        batches_.add();
+        largest_batch_.raise(nqueries);
 
         // The flusher survives ANYTHING a batch throws — injected faults
         // included: the failure goes into the affected queries' channels
@@ -332,9 +345,8 @@ void QueryBatcher::flusher_loop() {
             // tasks run (their bodies catch internally), so no trace here
             // was finished yet.
             const std::exception_ptr error = std::current_exception();
+            flush_failures_.add();
             for_each_lane([&](auto& lane) { fail_lane(lane, error); });
-            util::MutexLock lock(stats_mutex_);
-            ++stats_.flush_failures;
         }
         for_each_lane([](auto& lane) { lane.groups.clear(); });
         for (FlushItem& ack : acks) flush_slab_.set_value(ack.done, {});
@@ -365,12 +377,9 @@ void QueryBatcher::execute() {
             });
     };
 
-    if (!transfer_.groups.empty()) {
-        util::MutexLock lock(stats_mutex_);
-        for (const auto& group : transfer_.groups)
-            stats_.transfer_queries += static_cast<long>(group.size());
-        stats_.transfer_groups += static_cast<long>(transfer_.groups.size());
-    }
+    for (const auto& group : transfer_.groups)
+        transfer_queries_.add(static_cast<long long>(group.size()));
+    transfer_groups_.add(static_cast<long long>(transfer_.groups.size()));
     // The ROM or, degraded, the full pencil: one policy for the whole flush.
     if (engine_) {
         add_chunks(transfer_, RomPolicy{engine_});

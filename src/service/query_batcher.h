@@ -55,21 +55,6 @@ struct QueryBatcherOptions {
     int max_pending = 0;
 };
 
-struct QueryBatcherStats {
-    long queries = 0;          ///< accepted point queries
-    long batches = 0;          ///< flushes executed (including empty flush() acks)
-    int largest_batch = 0;     ///< max queries coalesced into one flush
-    long transfer_queries = 0;
-    long transfer_groups = 0;  ///< distinct parameter points across transfer
-                               ///< batches — the coalescing win is
-                               ///< transfer_queries / transfer_groups
-    long shed = 0;             ///< submits rejected by admission control (OverloadError)
-    long expired = 0;          ///< queries completed with DeadlineExceeded
-    long rejected_closed = 0;  ///< submits after close() (ServiceClosed)
-    long flush_failures = 0;   ///< batches whose execution itself failed (every
-                               ///< member got the failure; the flusher survived)
-};
-
 /// Degraded-mode serving paths used when no ROM engine is available (the
 /// model build failed and the key is poisoned — see StudySession): per-query
 /// full-pencil evaluation. Slower, but answers stay exact and the service
@@ -182,14 +167,24 @@ public:
     bool degraded() const { return engine_ == nullptr; }
 
     const QueryBatcherOptions& options() const { return opts_; }
-    QueryBatcherStats stats() const EXCLUDES(stats_mutex_);
 
-    /// Occupancy of the per-lane result slabs (bench/ops visibility): after
-    /// warm-up, `capacity` plateaus at the concurrency high-water mark and
-    /// every further query reuses a recycled slot.
-    util::ResultSlabStats transfer_slab_stats() const { return transfer_.slab.stats(); }
-    util::ResultSlabStats delay_slab_stats() const { return delay_.slab.stats(); }
-    util::ResultSlabStats pole_slab_stats() const { return pole_.slab.stats(); }
+    /// This batcher's `batcher.*` counters — `queries` accepted, `batches`
+    /// flushed (empty flush() acks too), `transfer_queries` and
+    /// `transfer_groups` (their distinct points per flush; the coalescing win
+    /// is the ratio), `shed` (OverloadError), `expired` (DeadlineExceeded),
+    /// `rejected_closed` (ServiceClosed), `flush_failures` (a batch whose
+    /// execution itself failed) — the gauge `batcher.largest_batch` (most
+    /// queries in one flush), and each lane's util::ResultSlabStats as
+    /// `slab_{transfer,delay,pole}.{capacity,in_use,opened,recycled}`.
+    /// The counters belong to this instance, so a reset of the process
+    /// registry leaves them alone. Each is counted before the answer it
+    /// accounts for is released: a read right after a ticket resolves sees it.
+    obs::Snapshot telemetry() const;
+
+    /// Adds telemetry() into a roll-up over several batchers: counters and
+    /// slab occupancy add, while `batcher.largest_batch` is the maximum (a
+    /// sum of per-batcher maxima is no flush that ever ran).
+    void roll_up(obs::Snapshot& total) const;
 
 private:
     /// One point query; `Arg` is its argument besides p (std::monostate when
@@ -288,8 +283,19 @@ private:
     PoleLane pole_;
     DelayLane delay_;
     util::ResultSlab<std::monostate> flush_slab_;
-    mutable util::Mutex stats_mutex_;
-    QueryBatcherStats stats_ GUARDED_BY(stats_mutex_);
+    /// This batcher's counters (see telemetry()), resolved once at
+    /// construction. Relaxed adds suffice: the slab lock that releases an
+    /// answer publishes every count made before it.
+    obs::Registry registry_;
+    obs::Counter& queries_;
+    obs::Counter& batches_;
+    obs::Gauge& largest_batch_;
+    obs::Counter& transfer_queries_;
+    obs::Counter& transfer_groups_;
+    obs::Counter& shed_;
+    obs::Counter& expired_;
+    obs::Counter& rejected_closed_;
+    obs::Counter& flush_failures_;
     /// Registry-owned stage instruments, resolved once at construction
     /// (instruments are process-global and never move, so the references
     /// stay valid and the hot path never touches the registry lock).

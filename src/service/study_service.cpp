@@ -6,7 +6,6 @@
 #include "analysis/poles.h"
 #include "la/ops.h"
 #include "obs/export.h"
-#include "service/telemetry.h"
 #include "solve/parametric_context.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
@@ -21,7 +20,7 @@ StudySession::StudySession(const circuit::ParametricSystem& sys, CacheKey key,
     VARMOR_FAULT_POINT_DETAIL("study_session.construct", key_.hex());
     // The served model: memory tier, disk tier, or — on a true miss — one
     // low-rank reduction through the session context's cached g0 symbolic.
-    // A warm cache performs ZERO reduction work here (ModelCacheStats::builds
+    // A warm cache performs ZERO reduction work here (model_cache.builds
     // is the counter that proves it). A build that FAILS does not fail the
     // session: it comes up degraded — full-pencil serving, no ROM — and the
     // service swaps in a full session once the key heals (the cache poisons
@@ -170,13 +169,13 @@ void StudyService::flush_all() {
 
 obs::Snapshot StudyService::telemetry() const {
     obs::Snapshot snap = obs::process_snapshot();
-    export_model_cache(*cache_, snap);
+    snap.merge(cache_->telemetry());
     util::MutexLock lock(mutex_);
     snap.add_gauge("service.sessions", static_cast<long long>(sessions_.size()));
     snap.add_gauge("service.retired_sessions",
                    static_cast<long long>(retired_.size()));
-    for (const auto& entry : sessions_) export_batcher(entry.second->batcher(), snap);
-    for (const auto& session : retired_) export_batcher(session->batcher(), snap);
+    for (const auto& entry : sessions_) entry.second->batcher().roll_up(snap);
+    for (const auto& session : retired_) session->batcher().roll_up(snap);
     return snap;
 }
 

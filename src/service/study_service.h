@@ -128,7 +128,7 @@ private:
 ///
 /// open() is keyed by cache_key(system, reduction options): reopening a
 /// served system — in this process or a later one via the disk tier — skips
-/// PRIMA/low-rank construction entirely (ModelCacheStats::builds stays
+/// PRIMA/low-rank construction entirely (model_cache.builds stays
 /// flat), which is the paper's build-once/evaluate-forever premise turned
 /// into a serving guarantee.
 class StudyService {
@@ -163,12 +163,13 @@ public:
     /// Flushes every session's pending queries (retired ones included).
     void flush_all() EXCLUDES(mutex_);
 
-    /// ONE coherent telemetry snapshot for the whole service: the process-
-    /// wide instruments (latency/stage histograms, engine and solver
-    /// counters, pool scheduling, fault-point hits, trace-store occupancy)
-    /// plus this service's cache/disk-store counters and every session's
-    /// batcher + slab stats (retired sessions included — their queries
-    /// counted too). Serialize with obs::Snapshot::to_json().
+    /// ONE coherent telemetry snapshot for the whole service:
+    /// obs::process_snapshot() (latency/stage histograms, engine and solver
+    /// counters, pool scheduling, fault-point hits, trace-store occupancy),
+    /// merged with the cache's telemetry() (its disk store's included) and
+    /// every session's batcher telemetry (retired sessions too — their
+    /// queries counted as well; see QueryBatcher::roll_up). Serialize with
+    /// obs::Snapshot::to_json().
     obs::Snapshot telemetry() const EXCLUDES(mutex_);
 
 private:

@@ -21,6 +21,9 @@ class ResultSlab;
 /// Occupancy counters of one slab (see ResultSlab::stats). After warm-up
 /// `capacity` stops growing and every open() reuses a recycled slot —
 /// `opened - recycled == in_use` is the number of results still in flight.
+/// Not a copy of obs counters: `capacity` and `in_use` are the slab's own
+/// slot and free-list state, read under the slab's lock together with the
+/// two counts, so the identity above holds in every read.
 struct ResultSlabStats {
     std::size_t capacity = 0;  ///< slots ever allocated (high-water mark)
     std::size_t in_use = 0;    ///< slots currently between open() and recycle

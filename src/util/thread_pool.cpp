@@ -1,8 +1,11 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <exception>
+
+#include "obs/metrics.h"
 
 namespace varmor::util {
 
@@ -12,23 +15,19 @@ namespace {
 // inline instead of deadlocking on the (busy) worker pool.
 thread_local bool t_in_pool_section = false;
 
-struct ProcessCountersImpl {
-    std::atomic<long long> chunks{0};
-    std::atomic<long long> steals{0};
-    std::atomic<long long> sections{0};
-    std::atomic<int> queue_high_water{0};
+/// The pool.* instruments, resolved in the process registry on first use.
+/// Every worker bumps `chunks` once per claim, so it is sharded (one cache
+/// line per thread slot, up to the Counter maximum of 64).
+struct PoolCounters {
+    obs::Counter& chunks = obs::Registry::global().counter("pool.chunks", 64);
+    obs::Counter& steals = obs::Registry::global().counter("pool.steals");
+    obs::Counter& sections = obs::Registry::global().counter("pool.sections");
+    obs::Gauge& queue_high_water = obs::Registry::global().gauge("pool.queue_high_water");
 };
 
-ProcessCountersImpl& process_impl() {
-    static ProcessCountersImpl impl;
-    return impl;
-}
-
-void raise_high_water(std::atomic<int>& hw, int depth) {
-    int seen = hw.load(std::memory_order_relaxed);
-    while (depth > seen &&
-           !hw.compare_exchange_weak(seen, depth, std::memory_order_relaxed)) {
-    }
+PoolCounters& pool_counters() {
+    static PoolCounters counters;
+    return counters;
 }
 
 }  // namespace
@@ -89,10 +88,7 @@ struct ThreadPool::Section {
     std::exception_ptr error GUARDED_BY(m);
 };
 
-ThreadPool::ThreadPool(int threads)
-    : threads_(std::max(1, threads)),
-      slot_chunks_(new std::atomic<long long>[static_cast<std::size_t>(std::max(1, threads))]) {
-    for (int w = 0; w < threads_; ++w) slot_chunks_[w].store(0, std::memory_order_relaxed);
+ThreadPool::ThreadPool(int threads) : threads_(std::max(1, threads)) {
     workers_.reserve(static_cast<std::size_t>(threads_ - 1));
     for (int i = 0; i < threads_ - 1; ++i)
         workers_.emplace_back([this] { worker_loop(); });
@@ -138,16 +134,13 @@ ThreadPool& ThreadPool::global() {
 void ThreadPool::section_worker(const std::shared_ptr<Section>& section, int slot) {
     const bool was = t_in_pool_section;
     t_in_pool_section = true;
+    PoolCounters& counters = pool_counters();
     for (;;) {
         bool stolen = false;
         const int u = section->claim(slot, stolen);
         if (u < 0) break;
-        slot_chunks_[slot].fetch_add(1, std::memory_order_relaxed);
-        process_impl().chunks.fetch_add(1, std::memory_order_relaxed);
-        if (stolen) {
-            steals_.fetch_add(1, std::memory_order_relaxed);
-            process_impl().steals.fetch_add(1, std::memory_order_relaxed);
-        }
+        counters.chunks.add();
+        if (stolen) counters.steals.add();
         try {
             section->unit(u);
         } catch (...) {
@@ -163,8 +156,7 @@ void ThreadPool::section_worker(const std::shared_ptr<Section>& section, int slo
 }
 
 void ThreadPool::run_section(const std::shared_ptr<Section>& section) {
-    sections_.fetch_add(1, std::memory_order_relaxed);
-    process_impl().sections.fetch_add(1, std::memory_order_relaxed);
+    pool_counters().sections.add();
     {
         // Deepest dealt queue == the imbalance the stealing scheduler starts
         // from; every queue was just dealt, so reading under each queue's own
@@ -174,8 +166,7 @@ void ThreadPool::run_section(const std::shared_ptr<Section>& section) {
             MutexLock lock(section->queues[w].m);
             deepest = std::max(deepest, section->queues[w].end - section->queues[w].next);
         }
-        raise_high_water(queue_high_water_, deepest);
-        raise_high_water(process_impl().queue_high_water, deepest);
+        pool_counters().queue_high_water.raise(deepest);
     }
 
     {
@@ -255,41 +246,12 @@ void ThreadPool::run_tasks(int threads, const std::vector<std::function<void()>>
     }
 }
 
-ThreadPool::SchedulingStats ThreadPool::scheduling_stats() const {
-    SchedulingStats stats;
-    stats.chunks_per_worker.resize(static_cast<std::size_t>(threads_));
-    for (int w = 0; w < threads_; ++w)
-        stats.chunks_per_worker[static_cast<std::size_t>(w)] =
-            slot_chunks_[w].load(std::memory_order_relaxed);
-    stats.steals = steals_.load(std::memory_order_relaxed);
-    stats.sections = sections_.load(std::memory_order_relaxed);
-    stats.queue_high_water = queue_high_water_.load(std::memory_order_relaxed);
-    return stats;
-}
-
-void ThreadPool::reset_scheduling_stats() {
-    for (int w = 0; w < threads_; ++w) slot_chunks_[w].store(0, std::memory_order_relaxed);
-    steals_.store(0, std::memory_order_relaxed);
-    sections_.store(0, std::memory_order_relaxed);
-    queue_high_water_.store(0, std::memory_order_relaxed);
-}
-
-ThreadPool::ProcessCounters ThreadPool::process_counters() {
-    ProcessCountersImpl& impl = process_impl();
-    ProcessCounters out;
-    out.chunks = impl.chunks.load(std::memory_order_relaxed);
-    out.steals = impl.steals.load(std::memory_order_relaxed);
-    out.sections = impl.sections.load(std::memory_order_relaxed);
-    out.queue_high_water = impl.queue_high_water.load(std::memory_order_relaxed);
-    return out;
-}
-
 void ThreadPool::reset_process_counters() {
-    ProcessCountersImpl& impl = process_impl();
-    impl.chunks.store(0, std::memory_order_relaxed);
-    impl.steals.store(0, std::memory_order_relaxed);
-    impl.sections.store(0, std::memory_order_relaxed);
-    impl.queue_high_water.store(0, std::memory_order_relaxed);
+    PoolCounters& counters = pool_counters();
+    counters.chunks.reset();
+    counters.steals.reset();
+    counters.sections.reset();
+    counters.queue_high_water.reset();
 }
 
 }  // namespace varmor::util

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <queue>
@@ -28,28 +27,6 @@ public:
     /// to absorb a 4x per-chunk cost skew while keeping per-chunk overhead
     /// (one mutex op to claim) negligible against varmor's chunk bodies.
     static constexpr int kChunksPerWorker = 4;
-
-    /// Pool-level scheduling counters, aggregated over every parallel
-    /// section this pool has run. `chunks_per_worker[w]` counts chunks
-    /// CLAIMED by worker slot w (slot 0 is the calling thread); `steals`
-    /// counts claims that came from another slot's queue; and
-    /// `queue_high_water` is the deepest any single worker queue has been at
-    /// section start (the stealing scheduler's exposure to imbalance).
-    struct SchedulingStats {
-        std::vector<long long> chunks_per_worker;
-        long long steals = 0;
-        long long sections = 0;
-        int queue_high_water = 0;
-    };
-
-    /// Process-wide totals across every pool, including the throwaway pools
-    /// run_chunks(threads > 1) builds — what the bench drivers print.
-    struct ProcessCounters {
-        long long chunks = 0;
-        long long steals = 0;
-        long long sections = 0;
-        int queue_high_water = 0;
-    };
 
     /// Spawns `threads - 1` workers (the caller participates as worker slot 0
     /// during parallel sections). threads <= 1 means fully inline serial
@@ -104,14 +81,12 @@ public:
     /// order, <= 0 = global() pool, n > 1 = dedicated pool of n.
     static void run_tasks(int threads, const std::vector<std::function<void()>>& tasks);
 
-    /// Snapshot of this pool's scheduling counters (monotonic since
-    /// construction or the last reset). Counts only scheduled sections —
-    /// inline serial/nested execution never touches the scheduler.
-    SchedulingStats scheduling_stats() const;
-    void reset_scheduling_stats();
-
-    /// Snapshot / reset of the process-wide totals.
-    static ProcessCounters process_counters();
+    /// Every pool (run_chunks' throwaway ones too) counts its scheduled
+    /// sections in obs::Registry::global(): `pool.chunks` claimed,
+    /// `pool.steals` (claims from another slot's queue), `pool.sections` and
+    /// the gauge `pool.queue_high_water` (deepest queue dealt at a section
+    /// start: the stealer's exposure to imbalance). Inline serial/nested
+    /// execution counts nothing. This zeroes them, as a registry reset does.
     static void reset_process_counters();
 
 private:
@@ -129,12 +104,6 @@ private:
     CondVar wake_;
     std::queue<std::function<void()>> tasks_ GUARDED_BY(mutex_);
     bool stop_ GUARDED_BY(mutex_) = false;
-    /// Scheduling counters; plain atomics (monotonic, no invariant couples
-    /// them) so hot claim paths never take a stats lock.
-    std::unique_ptr<std::atomic<long long>[]> slot_chunks_;  ///< size threads_
-    std::atomic<long long> steals_{0};
-    std::atomic<long long> sections_{0};
-    std::atomic<int> queue_high_water_{0};
 };
 
 }  // namespace varmor::util

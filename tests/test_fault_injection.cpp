@@ -374,7 +374,7 @@ TEST(FaultInjection, OverloadShedsWithFailedFutureNeverThrow) {
     EXPECT_GT(ok, 0) << "admitted queries must still be served";
     EXPECT_GT(shed, 0) << "a 1-deep queue under a held flusher must shed";
     EXPECT_EQ(other, 0);
-    EXPECT_EQ(session.batcher().stats().shed, shed);
+    EXPECT_EQ(session.batcher().telemetry().counter("batcher.shed"), shed);
     FaultInjector::instance().clear();
 }
 
@@ -405,7 +405,7 @@ TEST(FaultInjection, ExpiredDeadlineCompletesWithDeadlineExceeded) {
         EXPECT_TRUE(got_value(std::move(first)));
         EXPECT_THROW(doomed.get(), DeadlineExceeded);
     }
-    EXPECT_GE(session.batcher().stats().expired, 2);
+    EXPECT_GE(session.batcher().telemetry().counter("batcher.expired"), 2);
     FaultInjector::instance().clear();
 }
 
@@ -427,7 +427,7 @@ TEST(FaultInjection, SubmitAfterCloseFailsWithServiceClosed) {
     auto after = batcher.submit_transfer({0.0, 0.0}, cplx(0.0, 1.0));
     ASSERT_TRUE(resolves(after));
     EXPECT_THROW(after.get(), ServiceClosed);
-    EXPECT_EQ(batcher.stats().rejected_closed, 1);
+    EXPECT_EQ(batcher.telemetry().counter("batcher.rejected_closed"), 1);
     batcher.flush();  // no-op after close, must not hang
     batcher.close();  // idempotent
 }
@@ -583,10 +583,10 @@ TEST(FaultInjection, TransientDiskWriteFaultIsAbsorbedByRetry) {
         EXPECT_FALSE(session.degraded());
     }
     // The retry absorbed the transient failure: artifact on disk, counted.
-    const DiskStoreStats ds = cache.disk_stats();
-    EXPECT_EQ(ds.stores, 1);
-    EXPECT_GE(ds.retries, 1);
-    EXPECT_EQ(ds.store_failures, 0);
+    const obs::Snapshot ds = cache.telemetry();
+    EXPECT_EQ(ds.counter("disk_store.stores"), 1);
+    EXPECT_GE(ds.counter("disk_store.retries"), 1);
+    EXPECT_EQ(ds.counter("disk_store.store_failures"), 0);
     EXPECT_TRUE(std::filesystem::exists(
         cache.disk_path(cache_key(sys, service.options().reduction))));
     FaultInjector::instance().clear();

@@ -74,6 +74,11 @@ TEST(NetlistIo, MalformedInputsThrow) {
     EXPECT_THROW(parse_text(".params 2\nR1 a b 5 sens=1\n.end\n"), Error);  // count mismatch
     EXPECT_THROW(parse_text("R1 a b -5\n.end\n"), Error);         // negative value
     EXPECT_THROW(parse_text(".port nowhere\nR1 a b 5\n.end\n"), Error);  // unknown port node
+    EXPECT_THROW(parse_text(".params 1\nR1 a b 5 sens=nan\n.end\n"), Error);  // non-finite
+    EXPECT_THROW(parse_text(".params 1\nR1 a b 5 sens=inf\n.end\n"), Error);  // sensitivity
+    EXPECT_THROW(parse_text(".params 2.5\nR1 a b 5\n.end\n"), Error);       // non-integer count
+    EXPECT_THROW(parse_text(".params nan\nR1 a b 5\n.end\n"), Error);
+    EXPECT_THROW(parse_text(".params 1e300\nR1 a b 5\n.end\n"), Error);
 }
 
 TEST(NetlistIo, RoundTripPreservesMna) {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,9 +21,9 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/study_service.h"
-#include "service/telemetry.h"
 #include "util/constants.h"
 #include "util/fault_injection.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace varmor::obs {
@@ -470,12 +471,58 @@ TEST(ObsServing, LargestBatchIsTheMaximumOverSessions) {
     b.flush();
     for (auto& f : futures) f.get();
 
-    const int largest_a = a.batcher().stats().largest_batch;
-    const int largest_b = b.batcher().stats().largest_batch;
+    const long long largest_a = a.batcher().telemetry().gauge("batcher.largest_batch");
+    const long long largest_b = b.batcher().telemetry().gauge("batcher.largest_batch");
     ASSERT_GE(largest_a, 1);
     ASSERT_GE(largest_b, 1);
     EXPECT_EQ(service.telemetry().gauge("batcher.largest_batch"),
               std::max(largest_a, largest_b));
+}
+
+// Batcher, cache and disk-store counters belong to their instances, so a
+// reset of the process registry (how a bench starts a measured phase) leaves
+// them alone, while it zeroes the process-wide pool.* and query.* instruments.
+TEST(ObsServing, InstanceCountersSurviveAProcessRegistryReset) {
+    const std::string dir = ::testing::TempDir() + "/varmor_obs_reset";
+    std::filesystem::remove_all(dir);
+    service::ModelCacheOptions copts;
+    copts.disk_dir = dir;
+    service::ModelCache cache(copts);
+    service::StudyService service(cache, service_options());
+    service::StudySession& session = service.open(test_system());
+
+    EnabledGuard on(true);
+    const cplx s(0.0, util::two_pi_f(0.05));
+    std::vector<service::Future<ZMatrix>> futures;
+    for (int j = 0; j < 4; ++j) futures.push_back(session.transfer({0.01 * j, 0.0}, s));
+    session.flush();
+    for (auto& f : futures) f.get();
+    util::ThreadPool(2).parallel_for(0, 16, [](int) {});
+
+    const Snapshot before = service.telemetry();
+    ASSERT_EQ(before.counter("batcher.queries"), 4);
+    ASSERT_EQ(before.counter("model_cache.builds"), 1);
+    ASSERT_EQ(before.counter("disk_store.stores"), 1);
+    ASSERT_GE(before.counter("pool.chunks"), 1);
+    if (kCompiledIn) ASSERT_GE(before.histograms.at("query.solve_ns").count(), 4);
+
+    Registry::global().reset();
+    const Snapshot after = service.telemetry();
+
+    const auto per_instance = [](const std::string& name) {
+        return name.rfind("batcher.", 0) == 0 || name.rfind("model_cache.", 0) == 0 ||
+               name.rfind("disk_store.", 0) == 0;
+    };
+    for (const auto& [name, v] : before.counters)
+        if (per_instance(name)) EXPECT_EQ(after.counter(name), v) << name;
+    for (const auto& [name, v] : before.gauges)
+        if (per_instance(name)) EXPECT_EQ(after.gauge(name), v) << name;
+    EXPECT_EQ(after.counter("pool.chunks"), 0);
+    EXPECT_EQ(after.counter("pool.steals"), 0);
+    EXPECT_EQ(after.counter("pool.sections"), 0);
+    EXPECT_EQ(after.gauge("pool.queue_high_water"), 0);
+    for (const auto& [name, h] : after.histograms)
+        if (name.rfind("query.", 0) == 0) EXPECT_EQ(h.count(), 0) << name;
 }
 
 TEST(ObsServing, FaultInjectorHitsExportedThroughSnapshot) {

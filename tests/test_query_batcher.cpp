@@ -153,14 +153,15 @@ TEST(QueryBatcher, ThreadedCoalescingBitIdenticalToServingAlone) {
             }
         }
 
-        const QueryBatcherStats stats = batcher.stats();
-        EXPECT_EQ(stats.queries,
+        const obs::Snapshot stats = batcher.telemetry();
+        EXPECT_EQ(stats.counter("batcher.queries"),
                   kClients * (kTransfersPer + kDelaysPer + kPolesPer));
-        EXPECT_GE(stats.batches, 1);
+        EXPECT_GE(stats.counter("batcher.batches"), 1);
         // Clients share corner_of(c, j) points across transfer queries, so
         // grouping must have coalesced at least some stamps.
-        EXPECT_EQ(stats.transfer_queries, kClients * kTransfersPer);
-        EXPECT_LE(stats.transfer_groups, stats.transfer_queries);
+        EXPECT_EQ(stats.counter("batcher.transfer_queries"), kClients * kTransfersPer);
+        EXPECT_LE(stats.counter("batcher.transfer_groups"),
+                  stats.counter("batcher.transfer_queries"));
     }
 }
 
@@ -177,7 +178,7 @@ TEST(QueryBatcher, DeadlineFlushesAnUndersizedBatch) {
     auto f = batcher.submit_transfer({0.1, -0.1}, cplx(0.0, 1.0));
     ASSERT_EQ(f.wait_for(std::chrono::seconds(30)), std::future_status::ready);
     expect_bit_identical(f.get(), fx.transfer_alone({0.1, -0.1}, cplx(0.0, 1.0)));
-    EXPECT_GE(batcher.stats().batches, 1);
+    EXPECT_GE(batcher.telemetry().counter("batcher.batches"), 1);
 }
 
 TEST(QueryBatcher, SizeTriggerFlushesWithoutWaitingForDeadline) {
@@ -194,7 +195,7 @@ TEST(QueryBatcher, SizeTriggerFlushesWithoutWaitingForDeadline) {
     // If only the (1-minute) deadline could flush, this would time out.
     for (auto& f : fs)
         ASSERT_EQ(f.wait_for(std::chrono::seconds(30)), std::future_status::ready);
-    EXPECT_GE(batcher.stats().largest_batch, 4);
+    EXPECT_GE(batcher.telemetry().gauge("batcher.largest_batch"), 4);
 }
 
 TEST(QueryBatcher, FlushDrainsEverythingSubmittedBefore) {
@@ -288,7 +289,7 @@ TEST(QueryBatcher, ForcingFailureFailsEveryDelayOfTheFlushOnly) {
         EXPECT_EQ(got[k].real(), ref[k].real());
         EXPECT_EQ(got[k].imag(), ref[k].imag());
     }
-    EXPECT_EQ(batcher.stats().flush_failures, 0);
+    EXPECT_EQ(batcher.telemetry().counter("batcher.flush_failures"), 0);
 }
 
 TEST(QueryBatcher, DelayForcingIsEvaluatedOnceAndAFailureIsRetried) {

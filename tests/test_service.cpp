@@ -105,7 +105,8 @@ TEST(StudyService, MixedEightClientWorkloadBitIdenticalToUnbatched) {
                 EXPECT_EQ(poles[k].imag(), rp[k].imag());
             }
         }
-        EXPECT_EQ(session.batcher().stats().queries, kClients * (kFreqs + 2));
+        EXPECT_EQ(session.batcher().telemetry().counter("batcher.queries"),
+                  kClients * (kFreqs + 2));
     }
 }
 

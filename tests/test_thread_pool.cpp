@@ -7,6 +7,7 @@
 #include <tuple>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -65,17 +66,14 @@ TEST(ThreadPool, ShortRangeGetsOneChunkPerElement) {
 
 TEST(ThreadPool, SchedulingStatsCountChunksAndSections) {
     ThreadPool pool(3);
-    pool.reset_scheduling_stats();
+    ThreadPool::reset_process_counters();
     pool.parallel_for(0, 100, [](int) {});
-    const auto stats = pool.scheduling_stats();
-    ASSERT_EQ(stats.chunks_per_worker.size(), 3u);
-    long long total = 0;
-    for (long long c : stats.chunks_per_worker) total += c;
-    EXPECT_EQ(total, 3LL * ThreadPool::kChunksPerWorker);
-    EXPECT_EQ(stats.sections, 1);
+    const obs::Snapshot stats = obs::Registry::global().snapshot();
+    EXPECT_EQ(stats.counter("pool.chunks"), 3LL * ThreadPool::kChunksPerWorker);
+    EXPECT_EQ(stats.counter("pool.sections"), 1);
     // Every queue was dealt kChunksPerWorker chunks.
-    EXPECT_EQ(stats.queue_high_water, ThreadPool::kChunksPerWorker);
-    EXPECT_GE(stats.steals, 0);
+    EXPECT_EQ(stats.gauge("pool.queue_high_water"), ThreadPool::kChunksPerWorker);
+    EXPECT_GE(stats.counter("pool.steals"), 0);
 }
 
 TEST(ThreadPool, StealingRebalancesASkewedSection) {
@@ -84,7 +82,7 @@ TEST(ThreadPool, StealingRebalancesASkewedSection) {
     // the section finishes and at least one steal is recorded. Every rank
     // still runs exactly once — stealing moves workers, not work.
     ThreadPool pool(2);
-    pool.reset_scheduling_stats();
+    ThreadPool::reset_process_counters();
     std::atomic<int> others_done{0};
     const int chunks = 2 * ThreadPool::kChunksPerWorker;
     std::vector<std::atomic<int>> ran(static_cast<std::size_t>(chunks));
@@ -99,8 +97,7 @@ TEST(ThreadPool, StealingRebalancesASkewedSection) {
         }
     });
     for (const auto& r : ran) EXPECT_EQ(r.load(), 1);
-    const auto stats = pool.scheduling_stats();
-    EXPECT_GE(stats.steals, 1);
+    EXPECT_GE(obs::Registry::global().snapshot().counter("pool.steals"), 1);
 }
 
 TEST(ThreadPool, ParallelTasksRunEveryTaskOnce) {

@@ -48,9 +48,13 @@ obs-naming       Every literal metric name registered or exported in src/
                  add_counter/add_gauge/add_histogram) is `component.metric`
                  style and appears in exactly ONE file — the registry dedupes
                  by name, so a name reused across files would silently merge
-                 two unrelated instruments. Names assembled at runtime (the
-                 "fault." + point and slab-prefix exports) are exempt by
-                 construction: they carry no literal to scan.
+                 two unrelated instruments. For the same reason every
+                 counter(/gauge(/histogram( call in src/ outside
+                 src/obs/metrics.{h,cpp} takes a string literal as its first
+                 argument: a name behind a variable or a ?: would escape the
+                 one-file check. Snapshot exports of names assembled at
+                 runtime through add_* (the "fault." + point and slab-prefix
+                 exports) are exempt: they register no instrument.
 """
 
 import os
@@ -79,6 +83,7 @@ OBS_REGISTER_RE = re.compile(
     r'\b(?:add_counter|add_gauge|add_histogram|counter|gauge|histogram)'
     r'\s*\(\s*"([^"]+)"')
 OBS_NAME_RE = re.compile(r"^[a-z0-9_]+\.[a-z0-9_]+$")
+OBS_NONLITERAL_RE = re.compile(r'\b(counter|gauge|histogram)\s*\(\s*(?=[^")\s])')
 RAND_RE = re.compile(r"\b(?:std::)?rand\s*\(")
 M_PI_RE = re.compile(r"\bM_PI\b")
 FUTURE_DECL_RE = re.compile(r"std::(?:shared_)?future\s*<[^;{}]*?>\s+(\w+)\s*[;=({]")
@@ -208,9 +213,18 @@ class Linter:
     # -- obs-naming --------------------------------------------------------
     def check_obs_naming(self):
         seen = {}  # name -> first (path, line)
+        registry_files = {
+            os.path.normpath(os.path.join(self.root, "src", "obs", name))
+            for name in ("metrics.h", "metrics.cpp")}
         for path in iter_source_files(self.root, "src"):
             with open(path, encoding="utf-8") as f:
                 code = strip_code(f.read(), keep_strings=True)
+            if os.path.normpath(path) not in registry_files:
+                for m in OBS_NONLITERAL_RE.finditer(code):
+                    self.report(path, line_of(code, m.start()), "obs-naming",
+                                f"{m.group(1)}() named by a non-literal — "
+                                "instrument names must be string literals so "
+                                "the one-file check can see them")
             for m in OBS_REGISTER_RE.finditer(code):
                 name, line = m.group(1), line_of(code, m.start())
                 if not OBS_NAME_RE.match(name):
