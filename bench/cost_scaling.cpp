@@ -144,9 +144,7 @@ int main() {
         const double ms_base = t.milliseconds();
 
         t.reset();
-        analysis::SweepOptions serial_opts;
-        serial_opts.threads = 1;
-        const auto serial = analysis::sweep_full(sys, p, freqs, serial_opts);
+        const auto serial = analysis::sweep_full(sys, p, freqs, 1);
         const double ms_serial = t.milliseconds();
 
         t.reset();
@@ -207,7 +205,7 @@ int main() {
             sparse::SpluSymbolic::analyze(stamper.g_skeleton());
         const int ns = static_cast<int>(samples.size());
         auto run_engine = [&](std::vector<double>& out, int threads) {
-            util::ThreadPool::run_chunks(threads, 0, ns, [&](int, int cb, int ce) {
+            util::ThreadPool::global().parallel_chunks(0, ns, [&](int, int cb, int ce) {
                 sparse::Csc gp = stamper.g_skeleton();
                 sparse::SpluWorkspace ws;
                 for (int k = cb; k < ce; ++k) {
@@ -217,7 +215,7 @@ int main() {
                     const sparse::SparseLu lu(gp, lo, ws);
                     out[static_cast<std::size_t>(k)] = la::norm2(lu.solve(rhs));
                 }
-            });
+            }, threads);
         };
 
         std::vector<double> serial_norm(samples.size());

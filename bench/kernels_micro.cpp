@@ -87,10 +87,9 @@ void BM_SweepFull(benchmark::State& state) {
     const auto sys = make_net(1000);
     const std::vector<double> p(static_cast<std::size_t>(sys.num_params()), 0.05);
     const auto freqs = analysis::log_frequencies(1e6, 1e10, 24);
-    analysis::SweepOptions opts;
-    opts.threads = static_cast<int>(state.range(0));
+    const int threads = static_cast<int>(state.range(0));
     for (auto _ : state)
-        benchmark::DoNotOptimize(analysis::sweep_full(sys, p, freqs, opts));
+        benchmark::DoNotOptimize(analysis::sweep_full(sys, p, freqs, threads));
 }
 BENCHMARK(BM_SweepFull)->Arg(1)->Arg(0);
 

@@ -32,8 +32,7 @@ std::vector<double> linear_frequencies(double lo, double hi, int count) {
 
 std::vector<ZMatrix> sweep_full(const solve::ParametricSolveContext& ctx,
                                 const std::vector<double>& p,
-                                const std::vector<double>& freqs,
-                                const SweepOptions& opts) {
+                                const std::vector<double>& freqs, int threads) {
     std::vector<ZMatrix> out(freqs.size());
     if (freqs.empty()) return out;
 
@@ -58,16 +57,15 @@ std::vector<ZMatrix> sweep_full(const solve::ParametricSolveContext& ctx,
         }
     };
 
-    util::ThreadPool::run_chunks(opts.threads, 1, static_cast<int>(freqs.size()), run);
+    util::ThreadPool::global().parallel_chunks(1, static_cast<int>(freqs.size()), run, threads);
     return out;
 }
 
 std::vector<ZMatrix> sweep_full(const circuit::ParametricSystem& sys,
                                 const std::vector<double>& p,
-                                const std::vector<double>& freqs,
-                                const SweepOptions& opts) {
+                                const std::vector<double>& freqs, int threads) {
     const solve::ParametricSolveContext ctx(sys);
-    return sweep_full(ctx, p, freqs, opts);
+    return sweep_full(ctx, p, freqs, threads);
 }
 
 std::vector<ZMatrix> sweep_reduced(const mor::ReducedModel& model,

@@ -15,15 +15,6 @@ std::vector<double> log_frequencies(double lo, double hi, int count);
 /// Linearly spaced frequencies [Hz] from lo to hi inclusive.
 std::vector<double> linear_frequencies(double lo, double hi, int count);
 
-/// Parallelism / reuse knobs for the full-system sweep.
-struct SweepOptions {
-    /// Worker count: 0 = the process-wide pool (VARMOR_NUM_THREADS), 1 =
-    /// serial, n > 1 = a dedicated pool of n. Results are bit-identical at
-    /// any thread count: every frequency point is refactorized from the same
-    /// reference factorization regardless of which worker computes it.
-    int threads = 0;
-};
-
 /// Frequency response of the FULL parametric system at parameter point p:
 /// H(j 2 pi f) = L^T (G(p) + j 2 pi f C(p))^-1 B for every f.
 ///
@@ -31,25 +22,25 @@ struct SweepOptions {
 /// carries the context's p-independent union(G, C) sparsity pattern, so ONE
 /// symbolic LU analysis serves every sweep on the context; the reference is
 /// factored at the first frequency and every other point performs a
-/// numeric-only refactorization — and the points fan out across a thread
-/// pool with per-thread workspaces (solve::PencilBatch).
+/// numeric-only refactorization — and the points fan out across the thread
+/// pool with per-thread workspaces (solve::PencilBatch). `threads` is the
+/// section width (util::ThreadPool). Results are bit-identical at any width:
+/// every point is refactorized from the same reference factorization.
 std::vector<la::ZMatrix> sweep_full(const solve::ParametricSolveContext& ctx,
                                     const std::vector<double>& p,
-                                    const std::vector<double>& freqs,
-                                    const SweepOptions& opts = {});
+                                    const std::vector<double>& freqs, int threads = 0);
 
 /// One-shot convenience: builds a private solve context for this call.
 std::vector<la::ZMatrix> sweep_full(const circuit::ParametricSystem& sys,
                                     const std::vector<double>& p,
-                                    const std::vector<double>& freqs,
-                                    const SweepOptions& opts = {});
+                                    const std::vector<double>& freqs, int threads = 0);
 
 /// Frequency response of a reduced parametric model, evaluated on the
 /// batched ROM engine (mor::RomEvalEngine): G~(p)/C~(p) are accumulated once
 /// for the whole sweep, each frequency stamps the pencil into a reusable
 /// dense LU workspace, and points fan out across the thread pool (`threads`
-/// follows the SweepOptions convention). Bit-identical to a serial loop of
-/// model.transfer() calls at any thread count.
+/// is the section width, util::ThreadPool). Bit-identical to a serial loop
+/// of model.transfer() calls at any width.
 std::vector<la::ZMatrix> sweep_reduced(const mor::ReducedModel& model,
                                        const std::vector<double>& p,
                                        const std::vector<double>& freqs,

@@ -27,76 +27,6 @@ std::vector<std::vector<double>> sample_parameters(int num_params,
     return samples;
 }
 
-namespace {
-
-/// Standard normal CDF.
-double norm_cdf(double z) { return 0.5 * (1.0 + std::erf(z / std::sqrt(2.0))); }
-
-/// Inverse standard normal CDF (Acklam's rational approximation, |err| < 1.2e-9).
-double norm_inv_cdf(double p) {
-    check(p > 0.0 && p < 1.0, "norm_inv_cdf: p must be in (0,1)");
-    static const double a[] = {-3.969683028665376e+01, 2.209460984245205e+02,
-                               -2.759285104469687e+02, 1.383577518672690e+02,
-                               -3.066479806614716e+01, 2.506628277459239e+00};
-    static const double b[] = {-5.447609879822406e+01, 1.615858368580409e+02,
-                               -1.556989798598866e+02, 6.680131188771972e+01,
-                               -1.328068155288572e+01};
-    static const double c[] = {-7.784894002430293e-03, -3.223964580411365e-01,
-                               -2.400758277161838e+00, -2.549732539343734e+00,
-                               4.374664141464968e+00,  2.938163982698783e+00};
-    static const double d[] = {7.784695709041462e-03, 3.224671290700398e-01,
-                               2.445134137142996e+00, 3.754408661907416e+00};
-    const double plow = 0.02425, phigh = 1 - plow;
-    if (p < plow) {
-        const double q = std::sqrt(-2 * std::log(p));
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1);
-    }
-    if (p > phigh) {
-        const double q = std::sqrt(-2 * std::log(1 - p));
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1);
-    }
-    const double q = p - 0.5, r = q * q;
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q /
-           (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1);
-}
-
-}  // namespace
-
-std::vector<std::vector<double>> sample_parameters_lhs(int num_params,
-                                                       const MonteCarloOptions& opts) {
-    check(num_params >= 1, "sample_parameters_lhs: need at least one parameter");
-    check(opts.samples >= 1, "sample_parameters_lhs: need at least one sample");
-    check(opts.sigma > 0, "sample_parameters_lhs: sigma must be positive");
-
-    util::Rng rng(opts.seed);
-    const int ns = opts.samples;
-    const double zb = opts.truncate_sigmas;  // truncation in standard units
-    const double phi_lo = norm_cdf(-zb), phi_hi = norm_cdf(zb);
-
-    std::vector<std::vector<double>> samples(
-        static_cast<std::size_t>(ns), std::vector<double>(static_cast<std::size_t>(num_params)));
-    for (int d = 0; d < num_params; ++d) {
-        // One draw per equal-probability stratum of the truncated normal
-        // (inverse-CDF stratification), then a random permutation.
-        std::vector<double> values(static_cast<std::size_t>(ns));
-        for (int s = 0; s < ns; ++s) {
-            const double u = (s + rng.uniform(0.0, 1.0)) / ns;         // stratified U(0,1)
-            const double p = phi_lo + u * (phi_hi - phi_lo);           // truncated CDF
-            values[static_cast<std::size_t>(s)] = opts.sigma * norm_inv_cdf(p);
-        }
-        for (int s = ns - 1; s > 0; --s) {
-            const int j = rng.below(s + 1);
-            std::swap(values[static_cast<std::size_t>(s)], values[static_cast<std::size_t>(j)]);
-        }
-        for (int s = 0; s < ns; ++s)
-            samples[static_cast<std::size_t>(s)][static_cast<std::size_t>(d)] =
-                values[static_cast<std::size_t>(s)];
-    }
-    return samples;
-}
-
 PoleErrorStudy pole_error_study(const solve::ParametricSolveContext& ctx,
                                 const mor::RomEvalEngine& rom_engine,
                                 const std::vector<std::vector<double>>& samples,
@@ -130,7 +60,7 @@ PoleErrorStudy pole_error_study(const solve::ParametricSolveContext& ctx,
             errors[static_cast<std::size_t>(i)] = pole_match_errors(full, red);
         }
     };
-    util::ThreadPool::run_chunks(threads, 0, static_cast<int>(samples.size()), run);
+    util::ThreadPool::global().parallel_chunks(0, static_cast<int>(samples.size()), run, threads);
 
     PoleErrorStudy study;
     study.errors = std::move(errors);

@@ -27,13 +27,6 @@ struct MonteCarloOptions {
 std::vector<std::vector<double>> sample_parameters(int num_params,
                                                    const MonteCarloOptions& opts);
 
-/// Latin-hypercube variant: per dimension, one draw per equal-probability
-/// stratum of the truncated normal, randomly permuted across samples. Same
-/// marginals as sample_parameters with lower variance of MC estimates —
-/// useful when each sample costs a full-model analysis.
-std::vector<std::vector<double>> sample_parameters_lhs(int num_params,
-                                                       const MonteCarloOptions& opts);
-
 /// Per-instance comparison of reduced vs full dominant poles over a set of
 /// parameter samples (the Fig. 5 / Fig. 6 left-plot study).
 struct PoleErrorStudy {
@@ -50,11 +43,11 @@ struct PoleErrorStudy {
 /// Runs the study on the shared batched-solve scaffold: all samples carry
 /// the context's union sparsity pattern and one symbolic LU analysis
 /// (solve::ParametricSolveContext::factor_g), the reduced side evaluates on
-/// the given ROM engine, and samples fan out across a thread pool with
-/// per-thread assembly buffers. `threads` follows the SweepOptions
-/// convention — 0 = process-wide pool, 1 = serial, n = dedicated pool. Each
-/// sample's computation is independent of the thread count, so results are
-/// bit-identical to a serial run. Context and engine must outlive the call.
+/// the given ROM engine, and samples fan out across the thread pool with
+/// per-thread assembly buffers. `threads` is the section width
+/// (util::ThreadPool). Each sample's computation is independent of the
+/// width, so results are bit-identical to a serial run. Context and engine
+/// must outlive the call.
 PoleErrorStudy pole_error_study(const solve::ParametricSolveContext& ctx,
                                 const mor::RomEvalEngine& rom_engine,
                                 const std::vector<std::vector<double>>& samples,

@@ -157,14 +157,15 @@ std::vector<TransientBatchRunner::CornerOutcome> TransientBatchRunner::run_batch
     int threads) const {
     const std::vector<Vector> forcing = make_forcing(input);
     std::vector<CornerOutcome> out(corners.size());
-    util::ThreadPool::run_chunks(
-        threads, 0, static_cast<int>(corners.size()),
+    util::ThreadPool::global().parallel_chunks(
+        0, static_cast<int>(corners.size()),
         [&](int, int chunk_begin, int chunk_end) {
             Scratch scratch = make_scratch();
             for (int i = chunk_begin; i < chunk_end; ++i)
                 out[static_cast<std::size_t>(i)] = run_corner_captured(
                     corners[static_cast<std::size_t>(i)], forcing, scratch);
-        });
+        },
+        threads);
     return out;
 }
 

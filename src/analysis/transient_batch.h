@@ -79,13 +79,12 @@ public:
     TransientResult run(const std::vector<double>& p, const InputFn& input) const;
 
     /// Whole batch fanned across the thread pool with deterministic
-    /// contiguous chunking. `threads` follows the SweepOptions convention:
-    /// 0 = process-wide pool, 1 = serial, n > 1 = dedicated pool of n.
-    /// The forcing series B (u0+u1)/2 is corner-independent, so it is
-    /// evaluated ONCE for the whole batch and shared read-only across
-    /// workers. Results are bit-identical at any thread count. A corner
-    /// failure rethrows the FIRST failing corner (in corner order) for the
-    /// whole call; callers that need per-corner isolation use
+    /// contiguous chunking; `threads` is the section width
+    /// (util::ThreadPool). The forcing series B (u0+u1)/2 is
+    /// corner-independent, so it is evaluated ONCE for the whole batch and
+    /// shared read-only across workers. Results are bit-identical at any
+    /// width. A corner failure rethrows the FIRST failing corner (in corner
+    /// order) for the whole call; callers that need per-corner isolation use
     /// run_batch_captured.
     std::vector<TransientResult> run_batch(const std::vector<std::vector<double>>& corners,
                                            const InputFn& input, int threads = 0) const;
@@ -158,7 +157,7 @@ struct TransientStudyOptions {
     double level = std::numeric_limits<double>::quiet_NaN();
     double level_fraction = 0.5;
     int histogram_bins = 12;
-    int threads = 0;         ///< SweepOptions convention (0 = global pool)
+    int threads = 0;         ///< section width (util::ThreadPool)
 };
 
 struct TransientStudy {

@@ -11,8 +11,8 @@ VariabilityStudy::VariabilityStudy(const circuit::ParametricSystem& sys)
 
 std::vector<la::ZMatrix> VariabilityStudy::sweep(const std::vector<double>& p,
                                                  const std::vector<double>& freqs,
-                                                 const SweepOptions& opts) const {
-    return sweep_full(*ctx_, p, freqs, opts);
+                                                 int threads) const {
+    return sweep_full(*ctx_, p, freqs, threads);
 }
 
 TransientStudy VariabilityStudy::transient(const std::vector<std::vector<double>>& corners,

@@ -54,8 +54,7 @@ public:
     /// Frequency response H(j 2 pi f) of the full system at parameter point
     /// p — analysis::sweep_full on the shared context.
     std::vector<la::ZMatrix> sweep(const std::vector<double>& p,
-                                   const std::vector<double>& freqs,
-                                   const SweepOptions& opts = {}) const;
+                                   const std::vector<double>& freqs, int threads = 0) const;
 
     /// Corner-batch transient delay study (waveforms, 50%-crossing delays,
     /// histogram/mean/sigma) — analysis::transient_study on the shared

@@ -382,7 +382,7 @@ std::vector<std::vector<ZMatrix>> RomEvalEngine::transfer_grid(
     };
 
     if (ns >= nf) {
-        util::ThreadPool::run_chunks(threads, 0, ns, [&](int, int s0, int s1) {
+        util::ThreadPool::global().parallel_chunks(0, ns, [&](int, int s0, int s1) {
             RomEvalWorkspace ws;
             ChunkObs c;
             chunk_begin_obs(c);
@@ -397,12 +397,12 @@ std::vector<std::vector<ZMatrix>> RomEvalEngine::transfer_grid(
                         transfer(s_points[static_cast<std::size_t>(j)], ws);
             }
             chunk_end_obs(c);
-        });
+        }, threads);
         finish_grid();
         return out;
     }
-    util::ThreadPool::run_chunks(
-        threads, 0, ns * nf, [&](int, int chunk_begin, int chunk_end) {
+    util::ThreadPool::global().parallel_chunks(
+        0, ns * nf, [&](int, int chunk_begin, int chunk_end) {
             RomEvalWorkspace ws;
             ChunkObs c;
             chunk_begin_obs(c);
@@ -422,7 +422,8 @@ std::vector<std::vector<ZMatrix>> RomEvalEngine::transfer_grid(
                     transfer(s_points[static_cast<std::size_t>(j)], ws);
             }
             chunk_end_obs(c);
-        });
+        },
+        threads);
     finish_grid();
     return out;
 }

@@ -125,11 +125,10 @@ public:
 
     /// The batched hot path: H(s_points[j], samples[i]) for the whole
     /// (samples x frequencies) grid, fanned over util::ThreadPool with
-    /// deterministic contiguous chunking (threads follows the SweepOptions
-    /// convention: 0 = process-wide pool, 1 = serial, n > 1 = dedicated
-    /// pool). Each worker stamps and Hessenberg-reduces a sample once and
-    /// sweeps its frequencies on reused scratch; results are bit-identical
-    /// at any thread count.
+    /// deterministic contiguous chunking (`threads` is the section width).
+    /// Each worker stamps and Hessenberg-reduces a sample once and sweeps
+    /// its frequencies on reused scratch; results are bit-identical at any
+    /// width.
     std::vector<std::vector<la::ZMatrix>> transfer_grid(
         const std::vector<std::vector<double>>& samples,
         const std::vector<la::cplx>& s_points, int threads = 0) const;

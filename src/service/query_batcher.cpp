@@ -26,17 +26,6 @@ void export_slab(const std::string& prefix, const util::ResultSlabStats& s,
     out.add_counter(prefix + ".recycled", s.recycled);
 }
 
-/// Chunk count for fanning `n` lane units into the combined task set:
-/// mirrors the pool's own oversubscription so the work-stealing scheduler
-/// has slack to interleave lanes, without one task per unit.
-std::size_t lane_chunks(std::size_t n, int threads) {
-    const int width = threads == 1
-                          ? 1
-                          : (threads > 1 ? threads : util::ThreadPool::global().size());
-    return std::min(n, static_cast<std::size_t>(
-                           std::max(1, width * util::ThreadPool::kChunksPerWorker)));
-}
-
 // Lane policies for QueryBatcher::run_chunk. prepare(p, scratch) runs once
 // per point group, and only when kStamps; solve(arg, p, scratch) runs once
 // per query and returns its answer or throws. make_scratch() gives each
@@ -364,12 +353,15 @@ void QueryBatcher::execute() {
     // dense transfer/pole chunks and sparse delay corners interleave on the
     // same workers instead of running lane-after-lane. Task composition
     // affects scheduling only — each query's result is computed
-    // independently, so the overlap is invisible in the bits.
+    // independently, so the overlap is invisible in the bits. Each lane is
+    // cut as the pool would cut a section over it (ThreadPool::chunks).
+    util::ThreadPool& pool = util::ThreadPool::global();
     std::vector<std::function<void()>> tasks;
     auto add_chunks = [&](auto& lane, auto policy) {
         const std::size_t n = lane.groups.size();
         if (n == 0) return;
-        const std::size_t chunks = lane_chunks(n, opts_.threads);
+        const auto chunks =
+            static_cast<std::size_t>(pool.chunks(static_cast<int>(n), opts_.threads));
         for (std::size_t c = 0; c < chunks; ++c)
             tasks.push_back([this, &lane, policy, b = n * c / chunks,
                              e = n * (c + 1) / chunks] {
@@ -406,7 +398,7 @@ void QueryBatcher::execute() {
     }
     add_chunks(delay_, DelayPolicy{transient_, &forcing_, observe_, level_});
 
-    util::ThreadPool::run_tasks(opts_.threads, tasks);
+    pool.parallel_tasks(tasks, opts_.threads);
 }
 
 template <class Arg, class Result, class Policy>

@@ -45,8 +45,8 @@ struct QueryBatcherOptions {
     /// Flush deadline: at most this long after the first query of a batch
     /// arrives (the latency half of the policy). 0 = flush immediately.
     double max_wait_ms = 2.0;
-    /// Fan-out of batch EXECUTION, SweepOptions convention: 0 = the
-    /// process-wide pool, 1 = serial, n > 1 = a dedicated pool of n.
+    /// Width of batch EXECUTION on the process-wide pool
+    /// (util::ThreadPool): 0 = all of it, 1 = inline on the flusher.
     int threads = 0;
     /// Admission bound: at most this many queries pending in the ingress
     /// queue; past it submits are SHED with an OverloadError future (0 =

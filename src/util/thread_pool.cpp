@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 
 #include "obs/metrics.h"
@@ -119,8 +121,13 @@ void ThreadPool::worker_loop() {
 
 int ThreadPool::default_threads() {
     if (const char* env = std::getenv("VARMOR_NUM_THREADS")) {
-        const int n = std::atoi(env);
-        if (n >= 1) return std::min(n, 64);
+        // The whole value must be a positive decimal integer. One too large
+        // for `unsigned` (out of range for from_chars) clamps to 64 as well.
+        const char* last = env + std::strlen(env);
+        unsigned n = 0;
+        const auto [ptr, ec] = std::from_chars(env, last, n);
+        if (ec == std::errc::result_out_of_range) n = 64;
+        if (ptr == last && n >= 1) return static_cast<int>(std::min(n, 64u));
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(std::min(hw, 64u));
@@ -162,7 +169,7 @@ void ThreadPool::run_section(const std::shared_ptr<Section>& section) {
         // from; every queue was just dealt, so reading under each queue's own
         // lock is uncontended.
         int deepest = 0;
-        for (int w = 0; w < threads_; ++w) {
+        for (int w = 0; w < section->width_; ++w) {
             MutexLock lock(section->queues[w].m);
             deepest = std::max(deepest, section->queues[w].end - section->queues[w].next);
         }
@@ -174,7 +181,7 @@ void ThreadPool::run_section(const std::shared_ptr<Section>& section) {
         // One claim loop per worker slot. A slot task that starts after the
         // section drained finds every queue empty and returns — `section`
         // stays alive through the captured shared_ptr either way.
-        for (int slot = 1; slot < threads_; ++slot)
+        for (int slot = 1; slot < section->width_; ++slot)
             tasks_.push([this, section, slot] { section_worker(section, slot); });
     }
     wake_.notify_all();
@@ -185,65 +192,43 @@ void ThreadPool::run_section(const std::shared_ptr<Section>& section) {
     if (section->error) std::rethrow_exception(section->error);
 }
 
-void ThreadPool::parallel_chunks(
-    int begin, int end, const std::function<void(int, int, int)>& fn) {
+int ThreadPool::width(int threads) const {
+    if (t_in_pool_section) return 1;
+    return threads <= 0 ? threads_ : std::min(threads, threads_);
+}
+
+int ThreadPool::chunks(int units, int threads) const {
+    const int w = width(threads);
+    return std::min(units, w == 1 ? 1 : w * kChunksPerWorker);
+}
+
+void ThreadPool::parallel_chunks(int begin, int end,
+                                 const std::function<void(int, int, int)>& fn, int threads) {
     const int len = end - begin;
-    if (len <= 0) return;
-    if (threads_ <= 1 || t_in_pool_section) {
-        // Serial (or nested) execution: one chunk spanning the range — the
-        // same shape run_chunks(1, ...) produces, and per-item results never
-        // depend on chunk boundaries (the bit-identity contract).
-        fn(0, begin, end);
-        return;
-    }
-    const int chunks = std::min(len, threads_ * kChunksPerWorker);
-    run_section(std::make_shared<Section>(
-        threads_, chunks, [&fn, begin, len, chunks](int r) {
-            const int b = begin + static_cast<int>(static_cast<long long>(len) * r / chunks);
-            const int e =
-                begin + static_cast<int>(static_cast<long long>(len) * (r + 1) / chunks);
-            fn(r, b, e);
-        }));
-}
-
-void ThreadPool::parallel_for(int begin, int end, const std::function<void(int)>& fn) {
-    parallel_chunks(begin, end, [&fn](int, int b, int e) {
-        for (int i = b; i < e; ++i) fn(i);
-    });
-}
-
-void ThreadPool::parallel_tasks(const std::vector<std::function<void()>>& tasks) {
-    const int n = static_cast<int>(tasks.size());
+    const int n = chunks(len, threads);
     if (n <= 0) return;
-    if (threads_ <= 1 || t_in_pool_section) {
+    if (n == 1) {
+        // Inline (width 1, a nested section or a one-element range): one
+        // chunk spanning the range. Per-item results never depend on chunk
+        // boundaries (the bit-identity contract).
+        fn(0, begin, end);
+        return;
+    }
+    run_section(std::make_shared<Section>(width(threads), n, [&fn, begin, len, n](int r) {
+        const int b = begin + static_cast<int>(static_cast<long long>(len) * r / n);
+        const int e = begin + static_cast<int>(static_cast<long long>(len) * (r + 1) / n);
+        fn(r, b, e);
+    }));
+}
+
+void ThreadPool::parallel_tasks(const std::vector<std::function<void()>>& tasks, int threads) {
+    const int n = static_cast<int>(tasks.size());
+    if (n <= 1 || width(threads) == 1) {
         for (const auto& task : tasks) task();
         return;
     }
     run_section(std::make_shared<Section>(
-        threads_, n, [&tasks](int u) { tasks[static_cast<std::size_t>(u)](); }));
-}
-
-void ThreadPool::run_chunks(int threads, int begin, int end,
-                            const std::function<void(int, int, int)>& fn) {
-    if (end <= begin) return;
-    if (threads == 1) {
-        fn(0, begin, end);
-    } else if (threads <= 0) {
-        global().parallel_chunks(begin, end, fn);
-    } else {
-        ThreadPool(threads).parallel_chunks(begin, end, fn);
-    }
-}
-
-void ThreadPool::run_tasks(int threads, const std::vector<std::function<void()>>& tasks) {
-    if (tasks.empty()) return;
-    if (threads == 1) {
-        for (const auto& task : tasks) task();
-    } else if (threads <= 0) {
-        global().parallel_tasks(tasks);
-    } else {
-        ThreadPool(threads).parallel_tasks(tasks);
-    }
+        width(threads), n, [&tasks](int u) { tasks[static_cast<std::size_t>(u)](); }));
 }
 
 void ThreadPool::reset_process_counters() {

@@ -20,6 +20,12 @@ namespace varmor::util {
 /// engine built on the pool stays bit-identical to a serial run — only the
 /// claim order is dynamic, which is what absorbs skewed per-item costs
 /// (per-sample Arnoldi counts, mixed transfer/transient lanes).
+///
+/// The pool also owns the parallelism decision. Every entry point that fans
+/// out takes an `int threads` and passes it on to parallel_chunks /
+/// parallel_tasks on global(), where it is the section's WIDTH: <= 0 = the
+/// whole pool, 1 = inline on the caller, n > 1 = min(n, size()) workers. No
+/// section creates a thread; a section started inside another runs inline.
 class ThreadPool {
 public:
     /// Chunks dealt per worker in a parallel section. 1 would reproduce the
@@ -30,7 +36,8 @@ public:
 
     /// Spawns `threads - 1` workers (the caller participates as worker slot 0
     /// during parallel sections). threads <= 1 means fully inline serial
-    /// execution.
+    /// execution. Library code runs on global(); pools of a chosen size are
+    /// for the pool's own tests.
     explicit ThreadPool(int threads);
     ~ThreadPool();
 
@@ -40,58 +47,54 @@ public:
     /// Degree of parallelism (>= 1).
     int size() const { return threads_; }
 
-    /// Process-wide pool, sized by VARMOR_NUM_THREADS when set (clamped to
-    /// [1, 64]) and std::thread::hardware_concurrency() otherwise. Built on
-    /// first use.
+    /// Process-wide pool, sized by VARMOR_NUM_THREADS when it is a positive
+    /// decimal integer (clamped to 64) and by
+    /// std::thread::hardware_concurrency() otherwise. Built on first use.
     static ThreadPool& global();
 
     /// The size global() would use.
     static int default_threads();
 
-    /// Splits [begin, end) into at most size() * kChunksPerWorker contiguous
+    /// Chunk count of a section over `units` work units at width `threads`
+    /// (see the class comment): min(units, width * kChunksPerWorker), or 1
+    /// when the width is 1. The one place the count is decided, so callers
+    /// that cut their own task lists oversubscribe exactly as sections do.
+    int chunks(int units, int threads = 0) const;
+
+    /// Splits [begin, end) into chunks(end - begin, threads) contiguous
     /// chunks and runs fn(rank, chunk_begin, chunk_end) for each, in
     /// parallel. `rank` is the chunk index in [0, chunks) — a pure function
-    /// of the range and the pool size, stable across runs and across which
+    /// of the range and the width, stable across runs and across which
     /// worker claims the chunk, so callers may key per-chunk scratch on it.
-    /// Blocks until every chunk finished; the first exception thrown by any
-    /// chunk is rethrown on the caller.
+    /// A section of one chunk runs inline on the caller. Blocks until every
+    /// chunk finished; the first exception thrown by any chunk is rethrown
+    /// on the caller.
     void parallel_chunks(int begin, int end,
-                         const std::function<void(int rank, int chunk_begin, int chunk_end)>& fn);
-
-    /// Element-wise convenience: fn(i) for i in [begin, end), chunked as
-    /// above.
-    void parallel_for(int begin, int end, const std::function<void(int i)>& fn);
+                         const std::function<void(int rank, int chunk_begin, int chunk_end)>& fn,
+                         int threads = 0);
 
     /// Heterogeneous units: runs every task in `tasks`, work-stealing across
-    /// the pool exactly like parallel_chunks (each task is one chunk). The
-    /// serving layer uses this to overlap a flush's dense transfer chunks
-    /// with its sparse transient corners on the same workers. Blocks until
-    /// all tasks finished; the first exception is rethrown (tasks that must
-    /// not poison their batch catch internally).
-    void parallel_tasks(const std::vector<std::function<void()>>& tasks);
+    /// `threads` of the pool exactly like parallel_chunks (each task is one
+    /// chunk; at width 1, or with one task, they run inline in index order).
+    /// The serving layer uses this to overlap a flush's dense transfer
+    /// chunks with its sparse transient corners on the same workers. Blocks
+    /// until all tasks finished; the first exception is rethrown (tasks that
+    /// must not poison their batch catch internally).
+    void parallel_tasks(const std::vector<std::function<void()>>& tasks, int threads = 0);
 
-    /// Shared dispatch policy of the evaluation drivers' `threads` knob:
-    /// 1 = inline serial (one chunk spanning the range), <= 0 = the global()
-    /// pool, n > 1 = a dedicated pool of n. Keeps the policy in one place so
-    /// every batch driver (sweeps, MC studies, benches) behaves identically.
-    static void run_chunks(int threads, int begin, int end,
-                           const std::function<void(int rank, int chunk_begin, int chunk_end)>& fn);
-
-    /// run_chunks' policy for parallel_tasks: 1 = inline serial in index
-    /// order, <= 0 = global() pool, n > 1 = dedicated pool of n.
-    static void run_tasks(int threads, const std::vector<std::function<void()>>& tasks);
-
-    /// Every pool (run_chunks' throwaway ones too) counts its scheduled
-    /// sections in obs::Registry::global(): `pool.chunks` claimed,
-    /// `pool.steals` (claims from another slot's queue), `pool.sections` and
-    /// the gauge `pool.queue_high_water` (deepest queue dealt at a section
-    /// start: the stealer's exposure to imbalance). Inline serial/nested
-    /// execution counts nothing. This zeroes them, as a registry reset does.
+    /// Every pool counts its scheduled sections in obs::Registry::global():
+    /// `pool.chunks` claimed, `pool.steals` (claims from another slot's
+    /// queue), `pool.sections` and the gauge `pool.queue_high_water` (deepest
+    /// queue dealt at a section start: the stealer's exposure to imbalance).
+    /// Inline execution counts nothing. This zeroes them, as a registry reset
+    /// does.
     static void reset_process_counters();
 
 private:
     struct Section;
 
+    /// Workers a section started on this thread with `threads` gets.
+    int width(int threads) const;
     void worker_loop();
     void run_section(const std::shared_ptr<Section>& section);
     void section_worker(const std::shared_ptr<Section>& section, int slot);

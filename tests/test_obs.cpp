@@ -497,7 +497,7 @@ TEST(ObsServing, InstanceCountersSurviveAProcessRegistryReset) {
     for (int j = 0; j < 4; ++j) futures.push_back(session.transfer({0.01 * j, 0.0}, s));
     session.flush();
     for (auto& f : futures) f.get();
-    util::ThreadPool(2).parallel_for(0, 16, [](int) {});
+    util::ThreadPool(2).parallel_chunks(0, 16, [](int, int, int) {});
 
     const Snapshot before = service.telemetry();
     ASSERT_EQ(before.counter("batcher.queries"), 4);

@@ -104,9 +104,9 @@ TEST(QueryBatcher, ThreadedCoalescingBitIdenticalToServingAlone) {
     const int kPolesPer = 2;
     const auto s_of = [](int j) { return cplx(0.0, util::two_pi_f(0.01 + 0.05 * j)); };
 
-    // Both execution modes: serial and the process-wide pool — the contract
-    // is "bit-identical at any thread count".
-    for (int exec_threads : {1, 0}) {
+    // Serial, the whole process-wide pool and a width capped at 2 — the
+    // contract is "bit-identical at any thread count".
+    for (int exec_threads : {1, 0, 2}) {
         QueryBatcherOptions opts;
         opts.max_batch = 16;
         opts.max_wait_ms = 20.0;

@@ -57,7 +57,7 @@ TEST(StudyService, MixedEightClientWorkloadBitIdenticalToUnbatched) {
         return std::vector<double>{0.04 * c - 0.15, -0.03 * c + 0.1};
     };
 
-    for (int exec_threads : {1, 0}) {
+    for (int exec_threads : {1, 0, 2}) {
         ModelCache cache;
         StudyService service(cache, service_options(exec_threads));
         StudySession& session = service.open(sys);

@@ -145,11 +145,8 @@ TEST(SolveContextHarness, SweepFullUnchangedByRefactor) {
     for (const std::vector<double>& p :
          {std::vector<double>{0.2, -0.15}, std::vector<double>{0.0, 0.0}}) {
         const auto reference = reference_sweep(sys, p, freqs);
-        for (int threads : {1, 8}) {
-            analysis::SweepOptions opts;
-            opts.threads = threads;
-            expect_bit_identical(reference, analysis::sweep_full(sys, p, freqs, opts));
-        }
+        for (int threads : {1, 8})
+            expect_bit_identical(reference, analysis::sweep_full(sys, p, freqs, threads));
     }
 }
 

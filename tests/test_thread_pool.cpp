@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <functional>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -14,12 +17,19 @@
 namespace varmor::util {
 namespace {
 
+/// fn(i) for every i in [begin, end), chunked by the pool.
+void for_each_index(ThreadPool& pool, int begin, int end, const std::function<void(int)>& fn) {
+    pool.parallel_chunks(begin, end, [&fn](int, int b, int e) {
+        for (int i = b; i < e; ++i) fn(i);
+    });
+}
+
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
     ThreadPool pool(4);
     EXPECT_EQ(pool.size(), 4);
     std::vector<std::atomic<int>> hits(257);
     for (auto& h : hits) h.store(0);
-    pool.parallel_for(0, 257, [&](int i) { hits[static_cast<std::size_t>(i)].fetch_add(1); });
+    for_each_index(pool, 0, 257, [&](int i) { hits[static_cast<std::size_t>(i)].fetch_add(1); });
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -67,7 +77,7 @@ TEST(ThreadPool, ShortRangeGetsOneChunkPerElement) {
 TEST(ThreadPool, SchedulingStatsCountChunksAndSections) {
     ThreadPool pool(3);
     ThreadPool::reset_process_counters();
-    pool.parallel_for(0, 100, [](int) {});
+    for_each_index(pool, 0, 100, [](int) {});
     const obs::Snapshot stats = obs::Registry::global().snapshot();
     EXPECT_EQ(stats.counter("pool.chunks"), 3LL * ThreadPool::kChunksPerWorker);
     EXPECT_EQ(stats.counter("pool.sections"), 1);
@@ -121,15 +131,16 @@ TEST(ThreadPool, ParallelTasksPropagateExceptions) {
     EXPECT_THROW(pool.parallel_tasks(tasks), Error);
     // Pool must still be usable afterwards.
     std::atomic<int> count{0};
-    pool.parallel_for(0, 8, [&](int) { count.fetch_add(1); });
+    for_each_index(pool, 0, 8, [&](int) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), 8);
 }
 
 TEST(ThreadPool, RunTasksSerialPolicyRunsInlineInOrder) {
+    ThreadPool pool(4);
     std::vector<int> order;
     std::vector<std::function<void()>> tasks;
     for (int i = 0; i < 5; ++i) tasks.push_back([&order, i] { order.push_back(i); });
-    ThreadPool::run_tasks(1, tasks);
+    pool.parallel_tasks(tasks, 1);
     ASSERT_EQ(order.size(), 5u);
     for (int i = 0; i < 5; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
@@ -139,7 +150,7 @@ TEST(ThreadPool, SerialPoolRunsInline) {
     EXPECT_EQ(pool.size(), 1);
     const auto caller = std::this_thread::get_id();
     int calls = 0;
-    pool.parallel_for(0, 10, [&](int) {
+    for_each_index(pool, 0, 10, [&](int) {
         EXPECT_EQ(std::this_thread::get_id(), caller);
         ++calls;  // safe: inline execution
     });
@@ -149,10 +160,10 @@ TEST(ThreadPool, SerialPoolRunsInline) {
 TEST(ThreadPool, EmptyAndSingleElementRanges) {
     ThreadPool pool(4);
     int calls = 0;
-    pool.parallel_for(3, 3, [&](int) { ++calls; });
+    for_each_index(pool, 3, 3, [&](int) { ++calls; });
     EXPECT_EQ(calls, 0);
     std::atomic<int> acalls{0};
-    pool.parallel_for(7, 8, [&](int i) {
+    for_each_index(pool, 7, 8, [&](int i) {
         EXPECT_EQ(i, 7);
         acalls.fetch_add(1);
     });
@@ -162,21 +173,21 @@ TEST(ThreadPool, EmptyAndSingleElementRanges) {
 TEST(ThreadPool, ExceptionPropagatesToCaller) {
     ThreadPool pool(4);
     EXPECT_THROW(
-        pool.parallel_for(0, 100, [](int i) {
+        for_each_index(pool, 0, 100, [](int i) {
             if (i == 63) throw Error("boom");
         }),
         Error);
     // Pool must still be usable afterwards.
     std::atomic<int> count{0};
-    pool.parallel_for(0, 8, [&](int) { count.fetch_add(1); });
+    for_each_index(pool, 0, 8, [&](int) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), 8);
 }
 
 TEST(ThreadPool, NestedParallelSectionsRunInlineWithoutDeadlock) {
     ThreadPool pool(2);
     std::atomic<int> total{0};
-    pool.parallel_for(0, 4, [&](int) {
-        pool.parallel_for(0, 4, [&](int) { total.fetch_add(1); });
+    for_each_index(pool, 0, 4, [&](int) {
+        for_each_index(pool, 0, 4, [&](int) { total.fetch_add(1); });
     });
     EXPECT_EQ(total.load(), 16);
 }
@@ -185,8 +196,63 @@ TEST(ThreadPool, GlobalPoolIsUsable) {
     ThreadPool& pool = ThreadPool::global();
     EXPECT_GE(pool.size(), 1);
     std::atomic<long> sum{0};
-    pool.parallel_for(1, 101, [&](int i) { sum.fetch_add(i); });
+    for_each_index(pool, 1, 101, [&](int i) { sum.fetch_add(i); });
     EXPECT_EQ(sum.load(), 5050);
+}
+
+TEST(ThreadPool, ThreadsCapTheSectionWidth) {
+    // `threads` is the width of one section on the pool: <= 0 is all of it,
+    // 1 is inline, n > 1 is at most min(n, size()) workers.
+    ThreadPool pool(4);
+    const int k = ThreadPool::kChunksPerWorker;
+    EXPECT_EQ(pool.chunks(100, 0), 4 * k);
+    EXPECT_EQ(pool.chunks(100, -3), 4 * k);
+    EXPECT_EQ(pool.chunks(100, 1), 1);
+    EXPECT_EQ(pool.chunks(100, 2), 2 * k);
+    EXPECT_EQ(pool.chunks(100, 8), 4 * k);
+    EXPECT_EQ(pool.chunks(3, 0), 3);
+
+    // A width-2 section is dealt across two queues of k chunks each.
+    ThreadPool::reset_process_counters();
+    std::atomic<int> ran{0};
+    pool.parallel_chunks(0, 100, [&](int, int, int) { ran.fetch_add(1); }, 2);
+    EXPECT_EQ(ran.load(), 2 * k);
+    const obs::Snapshot stats = obs::Registry::global().snapshot();
+    EXPECT_EQ(stats.counter("pool.chunks"), 2 * k);
+    EXPECT_EQ(stats.counter("pool.sections"), 1);
+    EXPECT_EQ(stats.gauge("pool.queue_high_water"), k);
+
+    // Width 1: one call, inline on the caller, over the whole range.
+    const auto caller = std::this_thread::get_id();
+    std::vector<std::tuple<int, int, int>> calls;
+    pool.parallel_chunks(5, 47, [&](int rank, int b, int e) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        calls.emplace_back(rank, b, e);  // safe: inline execution
+    }, 1);
+    ASSERT_EQ(calls.size(), 1u);
+    EXPECT_EQ(calls.front(), std::make_tuple(0, 5, 47));
+}
+
+TEST(ThreadPool, DefaultThreadsParsesTheEnvironmentStrictly) {
+    // Only a whole positive decimal integer sizes the pool (clamped to 64,
+    // however large); anything else falls back to the hardware default.
+    const char* const saved = std::getenv("VARMOR_NUM_THREADS");
+    const std::optional<std::string> restore =
+        saved ? std::optional<std::string>(saved) : std::nullopt;
+    unsetenv("VARMOR_NUM_THREADS");
+    const int fallback = ThreadPool::default_threads();
+    const std::pair<const char*, int> cases[] = {
+        {"3", 3},         {"64", 64},       {"65", 64},       {"4294967297", 64},
+        {"0", fallback},  {"-2", fallback}, {"8abc", fallback}, {"1e3", fallback},
+        {" 3", fallback}, {"", fallback}};
+    for (const auto& [value, expected] : cases) {
+        setenv("VARMOR_NUM_THREADS", value, 1);
+        EXPECT_EQ(ThreadPool::default_threads(), expected) << '"' << value << '"';
+    }
+    if (restore)
+        setenv("VARMOR_NUM_THREADS", restore->c_str(), 1);
+    else
+        unsetenv("VARMOR_NUM_THREADS");
 }
 
 }  // namespace

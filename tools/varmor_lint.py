@@ -37,6 +37,13 @@ no-promise       src/service/ must not construct std::promise: per-query
                  (util::ResultSlab and its ResultTicket) exist to avoid.
                  Tests and the util layer are out of scope.
 
+one-pool         src/ outside util/thread_pool.{h,cpp} must not construct a
+                 util::ThreadPool (a temporary, a named object,
+                 make_unique/make_shared or new): every section runs on
+                 ThreadPool::global() with `threads` as its width, so no
+                 call spawns and joins threads of its own. References and
+                 ThreadPool::global() are fine; tests are out of scope.
+
 simd-confined    Raw vector intrinsics (immintrin.h, _mm*/__m128/__m256/
                  __m512 tokens) are allowed in src/la/simd.h ONLY. Everything
                  else programs against Pack<T> and the pointer kernels, so
@@ -89,6 +96,11 @@ M_PI_RE = re.compile(r"\bM_PI\b")
 FUTURE_DECL_RE = re.compile(r"std::(?:shared_)?future\s*<[^;{}]*?>\s+(\w+)\s*[;=({]")
 GET_FUTURE_RE = re.compile(r"\b(?:auto|const auto)\s+(\w+)\s*=[^;]*\.get_future\(\)")
 MUTEX_LOCK_RE = re.compile(r"\bMutexLock\s+\w+\s*\(")
+POOL_CONSTRUCT_RE = re.compile(
+    r"\bThreadPool\s*[({]"                  # temporary
+    r"|\bThreadPool\s+\w+\s*[({;=]"         # named object
+    r"|\b(?:make_unique|make_shared)\s*<\s*(?:\w+::)*ThreadPool\s*>"
+    r"|\bnew\s+(?:\w+::)*ThreadPool\b")
 
 
 def strip_code(text, keep_strings):
@@ -300,6 +312,22 @@ class Linter:
                             "result channels (util::ResultSlab / ResultTicket); "
                             "a promise allocates shared state per query")
 
+    # -- one-pool ----------------------------------------------------------
+    def check_one_pool(self):
+        allowed = {
+            os.path.normpath(os.path.join(self.root, "src", "util", name))
+            for name in ("thread_pool.h", "thread_pool.cpp")}
+        for path in iter_source_files(self.root, "src"):
+            if os.path.normpath(path) in allowed:
+                continue
+            with open(path, encoding="utf-8") as f:
+                code = strip_code(f.read(), keep_strings=False)
+            for m in POOL_CONSTRUCT_RE.finditer(code):
+                self.report(path, line_of(code, m.start()), "one-pool",
+                            "util::ThreadPool constructed outside "
+                            "util/thread_pool.{h,cpp} — run the section on "
+                            "ThreadPool::global() and pass its width as `threads`")
+
     # -- future-in-lock ----------------------------------------------------
     def check_future_in_lock(self):
         for path in iter_source_files(self.root, os.path.join("src", "service")):
@@ -340,6 +368,7 @@ class Linter:
         self.check_naked_mutex()
         self.check_simd_confined()
         self.check_no_promise()
+        self.check_one_pool()
         self.check_future_in_lock()
         return self.findings
 
