@@ -6,8 +6,8 @@
 //              (the pre-service behavior of a naive caller);
 //   batched    8 concurrent clients through StudyService futures — the
 //              QueryBatcher coalesces queries into RomEvalEngine groups and
-//              TransientBatchRunner corner batches under the size/deadline
-//              flush policy.
+//              TransientBatchRunner corner batches under the work-conserving
+//              flush policy (each flush takes whatever has queued).
 //
 // Gates: batched serving >= 2x queries/sec over unbatched — WITH per-query
 // deadlines and admission control enabled on the featured run — results
@@ -120,8 +120,6 @@ int main(int argc, char** argv) {
     opts.reduction.rank = 2;
     opts.transient.transient.t_stop = 4e-9;
     opts.transient.transient.dt = 2e-11;
-    opts.batcher.max_batch = 64;
-    opts.batcher.max_wait_ms = 2.0;
     opts.batcher.threads = 0;  // process-wide pool
     // Admission control stays ON for the featured run: the bound is sized so
     // this workload never sheds, but every submit pays the real triage.
@@ -182,8 +180,8 @@ int main(int argc, char** argv) {
             clients.emplace_back([&, cidx] {
                 // Client cidx owns every kClients-th corner. Fire all of its
                 // queries first, then collect — clients that block mid-sweep
-                // would starve the batcher of coalescing opportunities (and
-                // leave the flusher idling on deadline waits).
+                // would starve the batcher of coalescing opportunities (each
+                // flush takes only what has queued).
                 std::vector<std::pair<std::size_t, std::vector<service::Future<ZMatrix>>>> tf;
                 std::vector<std::pair<std::size_t, service::Future<service::DelayResult>>> df;
                 std::vector<std::pair<std::size_t, service::Future<std::vector<cplx>>>> pf;
@@ -297,9 +295,9 @@ int main(int argc, char** argv) {
     // the on/off comparison in one binary measures what a compiled-out
     // rebuild would. Two estimates:
     //   (a) end-to-end: the workload with tracing disabled vs enabled,
-    //       min-of-5 interleaved. The honest differential, but the flush-
-    //       window scheduling underneath jitters single runs by ~5% on a
-    //       narrow host — more than the 2% bar itself;
+    //       min-of-5 interleaved. The honest differential, but the thread
+    //       scheduling underneath, which decides what each flush takes,
+    //       jitters single runs on a narrow host by more than the 2% bar;
     //   (b) direct: time the exact per-query instrument sequence (trace
     //       mint, four spans' clock reads, five histogram records, the
     //       ring-buffer store) in a tight loop, divided by the measured

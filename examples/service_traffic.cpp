@@ -7,8 +7,8 @@
 //     a second service instance opens the same system with ZERO reduction
 //     work — the content-addressed warm hit.
 //   - QueryBatcher: concurrent transfer/delay/pole queries coalesce into
-//     engine batches under the size/deadline policy; results are bitwise
-//     identical to serving each query alone.
+//     engine batches (each flush takes whatever has queued); results are
+//     bitwise identical to serving each query alone.
 //   - StudySession tickets: clients block only on their own answers (the
 //     slab-backed service::Future — recycled slots, no per-query allocation).
 //
@@ -44,8 +44,6 @@ int main() {
     opts.reduction.param_order = 3;
     opts.transient.transient.t_stop = 4e-9;
     opts.transient.transient.dt = 2e-11;
-    opts.batcher.max_batch = 64;
-    opts.batcher.max_wait_ms = 2.0;
     service::StudyService service(cache, opts);
 
     util::Timer t;

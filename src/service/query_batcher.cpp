@@ -1,7 +1,6 @@
 #include "service/query_batcher.h"
 
 #include <algorithm>
-#include <chrono>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -121,8 +120,6 @@ QueryBatcher::QueryBatcher(const mor::RomEvalEngine* engine, QueryFallbacks fall
       obs_stamp_(obs::Registry::global().histogram("query.stamp_ns")),
       obs_solve_(obs::Registry::global().histogram("query.solve_ns")),
       obs_fulfil_(obs::Registry::global().histogram("query.fulfil_ns")) {
-    check(opts_.max_batch >= 1, "QueryBatcher: max_batch must be >= 1");
-    check(opts_.max_wait_ms >= 0.0, "QueryBatcher: max_wait_ms must be >= 0");
     check(opts_.max_pending >= 0, "QueryBatcher: max_pending must be >= 0");
     check(engine_ != nullptr || (fallbacks_.transfer && fallbacks_.poles),
           "QueryBatcher: degraded serving needs both fallback paths");
@@ -238,7 +235,6 @@ void QueryBatcher::roll_up(obs::Snapshot& total) const {
 }
 
 void QueryBatcher::flusher_loop() {
-    using clock = std::chrono::steady_clock;
     while (true) {
         std::optional<Item> first = queue_.pop();
         if (!first) break;  // closed and drained
@@ -296,20 +292,14 @@ void QueryBatcher::flusher_loop() {
             return false;
         };
 
+        // Work-conserving: the batch is whatever queued while the previous
+        // one executed, up to kMaxBatch queries or a flush marker. The
+        // flusher never waits for more.
         bool stop = take(*first);
-        if (!stop && nqueries > 0) {
-            // The deadline half of the policy: collect until max_wait_ms
-            // after the batch's FIRST query, or until the size trigger / a
-            // flush marker / queue teardown — whichever comes first.
-            const auto deadline =
-                clock::now() + std::chrono::duration_cast<clock::duration>(
-                                   std::chrono::duration<double, std::milli>(
-                                       opts_.max_wait_ms));
-            while (nqueries < opts_.max_batch) {
-                std::optional<Item> item = queue_.pop_until(deadline);
-                if (!item) break;  // deadline passed, or closed and drained
-                if (take(*item)) break;
-            }
+        while (!stop && nqueries < kMaxBatch) {
+            std::optional<Item> item = queue_.try_pop();
+            if (!item) break;
+            stop = take(*item);
         }
 
         // Count the batch BEFORE execution: the first set_value below

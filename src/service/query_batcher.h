@@ -37,14 +37,9 @@ struct DelayResult {
     double level = 0.0;
 };
 
+/// How a batch runs and how much may queue for it. What a flush takes is not
+/// an option: everything pending, up to QueryBatcher::kMaxBatch queries.
 struct QueryBatcherOptions {
-    /// Flush once this many queries are pending (the size half of the
-    /// policy). Batches may exceed coalescing opportunity — correctness
-    /// never depends on composition, only throughput does.
-    int max_batch = 64;
-    /// Flush deadline: at most this long after the first query of a batch
-    /// arrives (the latency half of the policy). 0 = flush immediately.
-    double max_wait_ms = 2.0;
     /// Width of batch EXECUTION on the process-wide pool
     /// (util::ThreadPool): 0 = all of it, 1 = inline on the flusher.
     int threads = 0;
@@ -85,10 +80,11 @@ struct QueryFallbacks {
 /// evaluation per query, chosen once per flush.
 ///
 /// Queries are enqueued on a util::MpmcQueue and drained by one flusher
-/// thread under a size/deadline policy: a batch flushes when `max_batch`
-/// queries are pending or `max_wait_ms` after its first query arrived,
-/// whichever comes first. flush() forces a drain of everything already
-/// submitted.
+/// thread under a work-conserving policy: it blocks for one item, takes
+/// whatever else has queued (up to kMaxBatch queries or a flush marker),
+/// executes that batch and repeats. It never waits for more, so under load a
+/// batch is what queued while the previous one ran. flush() returns once
+/// everything submitted before it has executed.
 ///
 /// Within one flush the three lanes are OVERLAPPED, not sequential: every
 /// lane's point groups are cut into chunks and submitted as ONE task set to
@@ -117,6 +113,9 @@ struct QueryFallbacks {
 /// subsequent batches.
 class QueryBatcher {
 public:
+    /// Most queries one flush takes; the rest wait for the next flush.
+    static constexpr int kMaxBatch = 64;
+
     /// Serves transfer/pole queries on `engine` — or, when `engine` is null,
     /// on the `fallbacks` paths (degraded mode) — and (when `transient` is
     /// non-null) delay queries on `transient` with the given step input and

@@ -162,9 +162,16 @@ int StudyService::num_sessions() const {
 }
 
 void StudyService::flush_all() {
-    util::MutexLock lock(mutex_);
-    for (auto& entry : sessions_) entry.second->flush();
-    for (auto& session : retired_) session->flush();
+    // Flush outside the service lock, so open(), num_sessions() and
+    // telemetry() proceed while the backlogs execute. Sessions, retired ones
+    // included, live as long as the service.
+    std::vector<StudySession*> sessions;
+    {
+        util::MutexLock lock(mutex_);
+        for (auto& entry : sessions_) sessions.push_back(entry.second.get());
+        for (auto& session : retired_) sessions.push_back(session.get());
+    }
+    for (StudySession* session : sessions) session->flush();
 }
 
 obs::Snapshot StudyService::telemetry() const {

@@ -122,8 +122,8 @@ private:
 /// concurrent query traffic through a coalescing QueryBatcher into the
 /// batched evaluation engines.
 ///
-///   client threads ──▶ StudySession futures ──▶ QueryBatcher (size/deadline
-///   coalescing) ──▶ RomEvalEngine / TransientBatchRunner over
+///   client threads ──▶ StudySession futures ──▶ QueryBatcher (work-
+///   conserving coalescing) ──▶ RomEvalEngine / TransientBatchRunner over
 ///   util::ThreadPool ──▶ promises resolve
 ///
 /// open() is keyed by cache_key(system, reduction options): reopening a

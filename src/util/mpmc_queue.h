@@ -1,12 +1,10 @@
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <deque>
 #include <optional>
 #include <utility>
 
-#include "util/check.h"
 #include "util/thread_annotations.h"
 
 namespace varmor::util {
@@ -23,8 +21,8 @@ enum class PushStatus {
 /// Bounded-complexity multi-producer/multi-consumer blocking queue: the
 /// ingress lane of the serving layer. Many logical clients push queries
 /// concurrently; the batcher's flusher drains them in arrival order (the
-/// lock serializes pushes, so "arrival order" is well defined) and applies
-/// its size/deadline coalescing policy via pop_until().
+/// lock serializes pushes, so "arrival order" is well defined): it blocks in
+/// pop() for one item, then try_pop()s whatever else has queued.
 ///
 /// A non-zero `capacity` bounds the backlog: try_push reports kFull once
 /// `capacity` items are pending, which is the admission-control half of the
@@ -32,8 +30,8 @@ enum class PushStatus {
 /// never an unbounded queue that converts overload into unbounded latency).
 ///
 /// close() ends the stream: pending items remain poppable (consumers drain
-/// the tail), further pushes report kClosed (try_push) or throw (push), and
-/// once the queue is empty every blocked pop returns std::nullopt.
+/// the tail), further pushes report kClosed, and once the queue is empty
+/// every blocked pop returns std::nullopt.
 /// Destruction does not require close(); the owner is responsible for
 /// joining its consumers first.
 template <class T>
@@ -60,20 +58,6 @@ public:
         return PushStatus::kOk;
     }
 
-    /// Throwing convenience enqueue (varmor::Error on a closed or full
-    /// queue). Serving paths use try_push — a client must get a failed
-    /// future, not an exception out of submit.
-    void push(T item) EXCLUDES(mutex_) {
-        switch (try_push(item)) {
-            case PushStatus::kOk:
-                return;
-            case PushStatus::kFull:
-                throw Error("MpmcQueue: push on full queue");
-            case PushStatus::kClosed:
-                throw Error("MpmcQueue: push on closed queue");
-        }
-    }
-
     /// Blocks until an item is available (returns it) or the queue is closed
     /// AND drained (returns std::nullopt).
     std::optional<T> pop() EXCLUDES(mutex_) {
@@ -89,21 +73,6 @@ public:
         return take_unchecked();
     }
 
-    /// Blocks until an item is available, the deadline passes, or the queue
-    /// is closed and drained. std::nullopt means "no item by the deadline" —
-    /// the batcher's cue to flush what it has collected so far.
-    template <class Clock, class Duration>
-    std::optional<T> pop_until(const std::chrono::time_point<Clock, Duration>& deadline)
-        EXCLUDES(mutex_) {
-        MutexLock lock(mutex_);
-        while (items_.empty() && !closed_) {
-            if (ready_.wait_until(mutex_, deadline) == std::cv_status::timeout)
-                break;  // take_locked re-checks: an item may have landed
-                        // exactly at the deadline
-        }
-        return take_locked();
-    }
-
     /// Ends the stream (idempotent); wakes every blocked consumer.
     void close() EXCLUDES(mutex_) {
         {
@@ -112,18 +81,6 @@ public:
         }
         ready_.notify_all();
     }
-
-    bool closed() const EXCLUDES(mutex_) {
-        MutexLock lock(mutex_);
-        return closed_;
-    }
-
-    std::size_t size() const EXCLUDES(mutex_) {
-        MutexLock lock(mutex_);
-        return items_.size();
-    }
-
-    std::size_t capacity() const { return capacity_; }
 
 private:
     std::optional<T> take_locked() REQUIRES(mutex_) {
@@ -138,7 +95,7 @@ private:
     }
 
     std::size_t capacity_ = 0;
-    mutable Mutex mutex_;
+    Mutex mutex_;
     CondVar ready_;
     std::deque<T> items_ GUARDED_BY(mutex_);
     bool closed_ GUARDED_BY(mutex_) = false;

@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "held_flusher.h"
 #include "mor/lowrank_pmor.h"
 #include "mor_test_utils.h"
 #include "obs/export.h"
@@ -37,6 +38,8 @@ using la::ZMatrix;
 using util::FaultInjected;
 using util::FaultInjector;
 using util::ScopedFault;
+using varmor::testing::HeldFlusher;
+using varmor::testing::plug;
 using varmor::testing::small_parametric_rc;
 
 circuit::ParametricSystem test_system() { return small_parametric_rc(30, 2, 91); }
@@ -47,8 +50,6 @@ StudyServiceOptions service_options() {
     opts.reduction.param_order = 2;
     opts.transient.transient.t_stop = 10.0;
     opts.transient.transient.dt = 0.5;
-    opts.batcher.max_batch = 24;
-    opts.batcher.max_wait_ms = 5.0;
     opts.batcher.threads = 1;
     return opts;
 }
@@ -274,9 +275,17 @@ TEST(FaultInjection, DelayCornerFaultIsolatesOneQueryWithoutRerun) {
         ScopedFault fault("transient.corner",
                           FaultInjector::fail_detail(
                               std::to_string(corners[bad][0]), "bad corner"));
+        std::future<void> plugged;
+        HeldFlusher hold;
+        plugged = plug(session);
+        ASSERT_TRUE(hold.held());
         std::vector<Future<DelayResult>> futures;
         for (const auto& p : corners) futures.push_back(session.delay(p));
+        hold.release();
+        plugged.get();
         session.flush();
+        EXPECT_EQ(session.batcher().telemetry().gauge("batcher.largest_batch"),
+                  static_cast<long long>(corners.size()));  // one batch
 
         for (std::size_t i = 0; i < corners.size(); ++i) {
             ASSERT_TRUE(resolves(futures[i]));
@@ -314,12 +323,19 @@ TEST(FaultInjection, StampFaultFailsOnePointGroupOnly) {
         ScopedFault fault("query_batcher.stamp",
                           FaultInjector::fail_detail(std::to_string(bad[0]),
                                                      "bad stamp"));
+        std::future<void> plugged;
+        HeldFlusher hold;
+        plugged = plug(session);
+        ASSERT_TRUE(hold.held());
         auto fg1 = session.transfer(good, s);
         auto fb = session.transfer(bad, s);
         auto pg = session.poles(good);
         auto pb = session.poles(bad);
         auto fg2 = session.transfer(good, s);
+        hold.release();
+        plugged.get();
         session.flush();
+        EXPECT_EQ(session.batcher().telemetry().gauge("batcher.largest_batch"), 5);
         ASSERT_TRUE(resolves(fg1));
         ASSERT_TRUE(resolves(fb));
         ASSERT_TRUE(resolves(fg2));
@@ -347,17 +363,22 @@ TEST(FaultInjection, OverloadShedsWithFailedFutureNeverThrow) {
     ModelCache cache;
     StudyServiceOptions opts = service_options();
     opts.batcher.max_pending = 1;
-    opts.batcher.max_batch = 1;
-    opts.batcher.max_wait_ms = 0.0;
     StudyService service(cache, opts);
     StudySession& session = service.open(sys);
 
-    // Hold the flusher inside a batch so the bounded queue actually fills.
-    ScopedFault slow("query_batcher.flush", FaultInjector::sleep_for(60.0));
+    // Hold the flusher inside a batch so the bounded queue actually fills:
+    // the plug (a flush marker, exempt from the bound) waits at the gate, the
+    // first submit takes the one queue slot and the other 15 are shed.
+    std::future<void> plugged;
+    HeldFlusher hold;
+    plugged = plug(session);
+    ASSERT_TRUE(hold.held());
     const cplx s(0.0, 1.0);
     std::vector<Future<ZMatrix>> futures;
     for (int i = 0; i < 16; ++i)
         futures.push_back(session.transfer({0.01 * i, 0.0}, s));  // must not throw
+    hold.release();
+    plugged.get();
 
     int ok = 0, shed = 0, other = 0;
     for (auto& f : futures) {
@@ -371,8 +392,8 @@ TEST(FaultInjection, OverloadShedsWithFailedFutureNeverThrow) {
             ++other;
         }
     }
-    EXPECT_GT(ok, 0) << "admitted queries must still be served";
-    EXPECT_GT(shed, 0) << "a 1-deep queue under a held flusher must shed";
+    EXPECT_EQ(ok, 1) << "the admitted query must still be served";
+    EXPECT_EQ(shed, 15) << "a 1-deep queue under a held flusher must shed";
     EXPECT_EQ(other, 0);
     EXPECT_EQ(session.batcher().telemetry().counter("batcher.shed"), shed);
     FaultInjector::instance().clear();
@@ -382,10 +403,7 @@ TEST(FaultInjection, ExpiredDeadlineCompletesWithDeadlineExceeded) {
     const circuit::ParametricSystem sys = test_system();
     FaultInjector::instance().clear();
     ModelCache cache;
-    StudyServiceOptions opts = service_options();
-    opts.batcher.max_batch = 1;
-    opts.batcher.max_wait_ms = 0.0;
-    StudyService service(cache, opts);
+    StudyService service(cache, service_options());
     StudySession& session = service.open(sys);
     const cplx s(0.0, 1.0);
 
@@ -396,16 +414,19 @@ TEST(FaultInjection, ExpiredDeadlineCompletesWithDeadlineExceeded) {
 
     // Expires while queued behind a held flusher: completed at collection.
     {
-        ScopedFault slow("query_batcher.flush", FaultInjector::sleep_for(80.0));
+        HeldFlusher hold;
         auto first = session.transfer({0.0, 0.0}, s);  // occupies the flusher
+        ASSERT_TRUE(hold.held());
         auto doomed =
             session.transfer({0.1, 0.0}, s, util::Deadline::after_ms(5.0));
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        hold.release();
         ASSERT_TRUE(resolves(first));
         ASSERT_TRUE(resolves(doomed));
         EXPECT_TRUE(got_value(std::move(first)));
         EXPECT_THROW(doomed.get(), DeadlineExceeded);
     }
-    EXPECT_GE(session.batcher().telemetry().counter("batcher.expired"), 2);
+    EXPECT_EQ(session.batcher().telemetry().counter("batcher.expired"), 2);
     FaultInjector::instance().clear();
 }
 

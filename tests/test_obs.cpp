@@ -311,8 +311,6 @@ service::StudyServiceOptions service_options() {
     opts.reduction.param_order = 2;
     opts.transient.transient.t_stop = 10.0;
     opts.transient.transient.dt = 0.5;
-    opts.batcher.max_batch = 24;
-    opts.batcher.max_wait_ms = 10.0;
     opts.batcher.threads = 0;
     return opts;
 }

@@ -1,21 +1,24 @@
 // service::QueryBatcher — coalescing must be invisible in the results: a
 // batch assembled from whatever traffic happened to interleave is BIT-
 // IDENTICAL to serving every query alone, at any execution thread count.
-// Also pinned: the size and deadline halves of the flush policy, flush()
-// draining, per-query error isolation, and each lane's trace shape.
+// Also pinned: the work-conserving flush policy (a flush takes what has
+// queued, up to kMaxBatch, and never waits for more), flush() draining,
+// per-query error isolation, and each lane's trace shape. Tests that claim
+// a batch's composition build it behind a testing::HeldFlusher.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <future>  // std::future_status — the ticket's wait_for vocabulary
+#include <future>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/transient_batch.h"
+#include "held_flusher.h"
 #include "mor/lowrank_pmor.h"
 #include "mor/rom_eval.h"
 #include "mor_test_utils.h"
@@ -28,6 +31,8 @@ namespace {
 
 using la::cplx;
 using la::ZMatrix;
+using varmor::testing::HeldFlusher;
+using varmor::testing::plug;
 using varmor::testing::small_parametric_rc;
 
 struct Fixture {
@@ -108,12 +113,16 @@ TEST(QueryBatcher, ThreadedCoalescingBitIdenticalToServingAlone) {
     // contract is "bit-identical at any thread count".
     for (int exec_threads : {1, 0, 2}) {
         QueryBatcherOptions opts;
-        opts.max_batch = 16;
-        opts.max_wait_ms = 20.0;
         opts.threads = exec_threads;
         QueryBatcher batcher(fx.engine, &fx.runner, fx.input, fx.level, fx.observe(),
                              opts);
 
+        // The clients' 80 queries queue behind a held plug, so the flushes
+        // after release are full ones: kMaxBatch, then the rest.
+        std::future<void> plugged;
+        HeldFlusher hold;
+        plugged = plug(batcher);
+        ASSERT_TRUE(hold.held());
         std::vector<std::vector<Future<ZMatrix>>> tf(kClients);
         std::vector<std::vector<Future<DelayResult>>> df(kClients);
         std::vector<std::vector<Future<std::vector<cplx>>>> pf(kClients);
@@ -130,6 +139,8 @@ TEST(QueryBatcher, ThreadedCoalescingBitIdenticalToServingAlone) {
                 }
             });
         for (std::thread& t : clients) t.join();
+        hold.release();
+        plugged.get();
 
         for (int c = 0; c < kClients; ++c) {
             for (int j = 0; j < kTransfersPer; ++j)
@@ -156,53 +167,95 @@ TEST(QueryBatcher, ThreadedCoalescingBitIdenticalToServingAlone) {
         const obs::Snapshot stats = batcher.telemetry();
         EXPECT_EQ(stats.counter("batcher.queries"),
                   kClients * (kTransfersPer + kDelaysPer + kPolesPer));
-        EXPECT_GE(stats.counter("batcher.batches"), 1);
+        EXPECT_EQ(stats.gauge("batcher.largest_batch"), QueryBatcher::kMaxBatch);
         // Clients share corner_of(c, j) points across transfer queries, so
-        // grouping must have coalesced at least some stamps.
+        // grouping must have coalesced at least some stamps: each of the two
+        // full flushes holds at most the 12 distinct transfer points.
         EXPECT_EQ(stats.counter("batcher.transfer_queries"), kClients * kTransfersPer);
-        EXPECT_LE(stats.counter("batcher.transfer_groups"),
+        EXPECT_LT(stats.counter("batcher.transfer_groups"),
                   stats.counter("batcher.transfer_queries"));
     }
 }
 
-TEST(QueryBatcher, DeadlineFlushesAnUndersizedBatch) {
+TEST(QueryBatcher, AnUndersizedBatchFlushesWithoutWaiting) {
     Fixture fx;
     QueryBatcherOptions opts;
-    opts.max_batch = 1000;  // size trigger unreachable
-    opts.max_wait_ms = 5.0;
     opts.threads = 1;
     QueryBatcher batcher(fx.engine, nullptr, {}, 0.0, 0, opts);
 
-    // A single query must be answered after ~max_wait_ms, not held hostage
-    // for a full batch.
+    // A lone query is a batch of one: nothing holds it for company.
     auto f = batcher.submit_transfer({0.1, -0.1}, cplx(0.0, 1.0));
     ASSERT_EQ(f.wait_for(std::chrono::seconds(30)), std::future_status::ready);
     expect_bit_identical(f.get(), fx.transfer_alone({0.1, -0.1}, cplx(0.0, 1.0)));
-    EXPECT_GE(batcher.telemetry().counter("batcher.batches"), 1);
+    const obs::Snapshot stats = batcher.telemetry();
+    EXPECT_EQ(stats.counter("batcher.batches"), 1);
+    EXPECT_EQ(stats.gauge("batcher.largest_batch"), 1);
 }
 
-TEST(QueryBatcher, SizeTriggerFlushesWithoutWaitingForDeadline) {
+TEST(QueryBatcher, HeldBacklogFlushesAsOneBatch) {
     Fixture fx;
     QueryBatcherOptions opts;
-    opts.max_batch = 4;
-    opts.max_wait_ms = 60000.0;  // deadline effectively unreachable
+    opts.threads = 1;
+    QueryBatcher batcher(fx.engine, &fx.runner, fx.input, fx.level, fx.observe(),
+                         opts);
+
+    std::future<void> plugged;
+    HeldFlusher hold;
+    plugged = plug(batcher);
+    ASSERT_TRUE(hold.held());
+    // Ten queries over all three lanes queue behind the plug.
+    const cplx s(0.0, 1.0);
+    std::vector<Future<ZMatrix>> tf;
+    std::vector<Future<std::vector<cplx>>> pf;
+    std::vector<Future<DelayResult>> df;
+    for (int j = 0; j < 4; ++j) tf.push_back(batcher.submit_transfer(corner_of(0, j), s));
+    for (int j = 0; j < 3; ++j) pf.push_back(batcher.submit_poles(corner_of(1, j)));
+    for (int j = 0; j < 3; ++j) df.push_back(batcher.submit_delay(corner_of(2, j)));
+    hold.release();
+    plugged.get();
+    batcher.flush();
+
+    for (int j = 0; j < 4; ++j)
+        expect_bit_identical(tf[static_cast<std::size_t>(j)].get(),
+                             fx.transfer_alone(corner_of(0, j), s));
+    for (auto& f : pf) (void)f.get();
+    for (auto& f : df) (void)f.get();
+    const obs::Snapshot stats = batcher.telemetry();
+    EXPECT_EQ(stats.counter("batcher.queries"), 10);
+    EXPECT_EQ(stats.gauge("batcher.largest_batch"), 10);
+}
+
+TEST(QueryBatcher, BacklogBeyondMaxBatchSplits) {
+    Fixture fx;
+    QueryBatcherOptions opts;
     opts.threads = 1;
     QueryBatcher batcher(fx.engine, nullptr, {}, 0.0, 0, opts);
 
+    std::future<void> plugged;
+    HeldFlusher hold;
+    plugged = plug(batcher);
+    ASSERT_TRUE(hold.held());
+    const int n = QueryBatcher::kMaxBatch + 6;
+    const auto p_of = [](int j) { return std::vector<double>{0.002 * j - 0.07, 0.0}; };
+    const auto s_of = [](int j) { return cplx(0.0, 1.0 + 0.1 * j); };
     std::vector<Future<ZMatrix>> fs;
-    for (int j = 0; j < 4; ++j)
-        fs.push_back(batcher.submit_transfer({0.02 * j, 0.0}, cplx(0.0, 1.0 + j)));
-    // If only the (1-minute) deadline could flush, this would time out.
-    for (auto& f : fs)
-        ASSERT_EQ(f.wait_for(std::chrono::seconds(30)), std::future_status::ready);
-    EXPECT_GE(batcher.telemetry().gauge("batcher.largest_batch"), 4);
+    for (int j = 0; j < n; ++j) fs.push_back(batcher.submit_transfer(p_of(j), s_of(j)));
+    hold.release();
+    plugged.get();
+
+    for (int j = 0; j < n; ++j)
+        expect_bit_identical(fs[static_cast<std::size_t>(j)].get(),
+                             fx.transfer_alone(p_of(j), s_of(j)));
+    const obs::Snapshot stats = batcher.telemetry();
+    EXPECT_EQ(stats.counter("batcher.queries"), n);
+    EXPECT_EQ(stats.gauge("batcher.largest_batch"), QueryBatcher::kMaxBatch);
+    // The plug's empty batch, a full one and the rest.
+    EXPECT_EQ(stats.counter("batcher.batches"), 3);
 }
 
 TEST(QueryBatcher, FlushDrainsEverythingSubmittedBefore) {
     Fixture fx;
     QueryBatcherOptions opts;
-    opts.max_batch = 1000;
-    opts.max_wait_ms = 60000.0;
     opts.threads = 1;
     QueryBatcher batcher(fx.engine, &fx.runner, fx.input, fx.level, fx.observe(),
                          opts);
@@ -220,12 +273,14 @@ TEST(QueryBatcher, FlushDrainsEverythingSubmittedBefore) {
 TEST(QueryBatcher, PerQueryErrorsDoNotPoisonTheBatch) {
     Fixture fx;
     QueryBatcherOptions opts;
-    opts.max_batch = 16;
-    opts.max_wait_ms = 20.0;
     opts.threads = 1;
     QueryBatcher batcher(fx.engine, &fx.runner, fx.input, fx.level, fx.observe(),
                          opts);
 
+    std::future<void> plugged;
+    HeldFlusher hold;
+    plugged = plug(batcher);
+    ASSERT_TRUE(hold.held());
     // Transfer lane: a wrong-arity query fails alone.
     auto good = batcher.submit_transfer({0.1, -0.1}, cplx(0.0, 1.0));
     auto bad = batcher.submit_transfer({0.1}, cplx(0.0, 1.0));  // wrong arity
@@ -236,7 +291,10 @@ TEST(QueryBatcher, PerQueryErrorsDoNotPoisonTheBatch) {
     // Pole lane likewise.
     auto good_poles = batcher.submit_poles({0.1, -0.1});
     auto bad_poles = batcher.submit_poles({});  // wrong arity
+    hold.release();
+    plugged.get();
     batcher.flush();
+    EXPECT_EQ(batcher.telemetry().gauge("batcher.largest_batch"), 6);
 
     EXPECT_THROW(bad.get(), Error);
     expect_bit_identical(good.get(), fx.transfer_alone({0.1, -0.1}, cplx(0.0, 1.0)));
@@ -255,14 +313,16 @@ TEST(QueryBatcher, PerQueryErrorsDoNotPoisonTheBatch) {
 TEST(QueryBatcher, ForcingFailureFailsEveryDelayOfTheFlushOnly) {
     Fixture fx;
     QueryBatcherOptions opts;
-    opts.max_batch = 1000;
-    opts.max_wait_ms = 60000.0;  // one flush: everything rides the flush() marker
     opts.threads = 1;
     const analysis::InputFn broken = [](double) -> la::Vector {
         throw Error("input blew up");
     };
     QueryBatcher batcher(fx.engine, &fx.runner, broken, fx.level, fx.observe(), opts);
 
+    std::future<void> plugged;
+    HeldFlusher hold;
+    plugged = plug(batcher);
+    ASSERT_TRUE(hold.held());
     const std::vector<double> p{0.1, -0.1}, q{-0.05, 0.2};
     const cplx s(0.0, 1.5);
     auto t1 = batcher.submit_transfer(p, s);
@@ -270,7 +330,10 @@ TEST(QueryBatcher, ForcingFailureFailsEveryDelayOfTheFlushOnly) {
     auto poles = batcher.submit_poles(q);
     auto d2 = batcher.submit_delay(q);
     auto t2 = batcher.submit_transfer(q, s);
+    hold.release();
+    plugged.get();
     batcher.flush();
+    EXPECT_EQ(batcher.telemetry().gauge("batcher.largest_batch"), 5);  // one flush
 
     for (Future<DelayResult>* d : {&d1, &d2}) {
         try {
@@ -298,8 +361,6 @@ TEST(QueryBatcher, DelayForcingIsEvaluatedOnceAndAFailureIsRetried) {
     // evaluation fails that flush's delays and is not kept.
     Fixture fx;
     QueryBatcherOptions opts;
-    opts.max_batch = 1000;
-    opts.max_wait_ms = 60000.0;  // flushes only at the flush() markers
     opts.threads = 1;
     std::atomic<int> calls{0};
     const analysis::InputFn flaky = [&](double t) {
@@ -352,8 +413,6 @@ TEST(QueryBatcher, EachLaneRecordsItsTraceShape) {
     ASSERT_EQ(obs::enabled(), obs::kCompiledIn);  // tracing is on by default
     obs::TraceStore::global().clear();
     QueryBatcherOptions opts;
-    opts.max_batch = 1000;
-    opts.max_wait_ms = 60000.0;
     opts.threads = 1;
     const std::vector<double> p{0.1, -0.1};
     const cplx s(0.0, 1.0);
@@ -417,22 +476,15 @@ TEST(QueryBatcher, EachLaneRecordsItsTraceShape) {
     // Expired in the queue (behind a held flusher): one failed queue-wait span.
     obs::TraceStore::global().clear();
     {
-        QueryFallbacks slow;
-        slow.transfer = [](const std::vector<double>&, cplx) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(150));
-            return ZMatrix(1, 1);
-        };
-        slow.poles = [](const std::vector<double>&) { return std::vector<cplx>{}; };
-        QueryBatcherOptions one;
-        one.max_batch = 1;
-        one.max_wait_ms = 0.0;
-        one.threads = 1;
-        QueryBatcher held(nullptr, slow, nullptr, {}, 0.0, 0, one);
-        auto first = held.submit_transfer(p, s);
-        auto doomed = held.submit_transfer(p, s, util::Deadline::after_ms(20.0));
+        QueryBatcher rom(fx.engine, nullptr, {}, 0.0, 0, opts);
+        HeldFlusher hold;
+        auto first = rom.submit_transfer(p, s);
+        ASSERT_TRUE(hold.held());  // the first query waits at the flush point
+        auto doomed = rom.submit_transfer(p, s, util::Deadline::after_ms(20.0));
+        std::this_thread::sleep_for(std::chrono::milliseconds(40));
+        hold.release();
         EXPECT_THROW(doomed.get(), DeadlineExceeded);
         (void)first.get();
-        held.flush();
     }
     lanes = traces_by_lane();
     ASSERT_EQ(lanes["transfer"].size(), 2u);

@@ -31,11 +31,9 @@ TEST(MpmcQueue, BoundedPushShedsAtCapacityWithoutConsumingItem) {
     // caller can still fail its promise cleanly.
     EXPECT_EQ(q.try_push(c), PushStatus::kFull);
     EXPECT_EQ(c, "c");
-    EXPECT_EQ(q.size(), 2u);
 
     // Control markers bypass the capacity bound...
     EXPECT_EQ(q.try_push(c, /*force=*/true), PushStatus::kOk);
-    EXPECT_EQ(q.size(), 3u);
 
     // ...but nothing bypasses close().
     q.close();
@@ -43,35 +41,12 @@ TEST(MpmcQueue, BoundedPushShedsAtCapacityWithoutConsumingItem) {
     EXPECT_EQ(q.try_push(d, /*force=*/true), PushStatus::kClosed);
     EXPECT_EQ(d, "d");
 
-    // The tail stays drainable after close, in arrival order.
+    // The tail stays drainable after close, in arrival order; the shed push
+    // enqueued nothing.
     EXPECT_EQ(q.pop().value(), "a");
     EXPECT_EQ(q.pop().value(), "b");
     EXPECT_EQ(q.pop().value(), "c");
     EXPECT_EQ(q.pop(), std::nullopt);  // closed and drained: no block
-}
-
-TEST(MpmcQueue, ThrowingPushReportsFullAndClosed) {
-    MpmcQueue<int> q(1);
-    q.push(1);
-    EXPECT_THROW(q.push(2), Error);  // full
-    (void)q.try_pop();
-    q.close();
-    EXPECT_THROW(q.push(3), Error);  // closed
-    EXPECT_TRUE(q.closed());
-}
-
-TEST(MpmcQueue, PopUntilTimesOutWithNullopt) {
-    MpmcQueue<int> q;
-    const auto t0 = std::chrono::steady_clock::now();
-    EXPECT_EQ(q.pop_until(t0 + std::chrono::milliseconds(20)), std::nullopt);
-    EXPECT_GE(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(20));
-
-    int v = 7;
-    EXPECT_EQ(q.try_push(v), PushStatus::kOk);
-    EXPECT_EQ(q.pop_until(std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(20))
-                  .value(),
-              7);
 }
 
 TEST(MpmcQueue, ManyProducersManyConsumersLoseNothing) {
@@ -91,7 +66,10 @@ TEST(MpmcQueue, ManyProducersManyConsumersLoseNothing) {
     std::vector<std::thread> producers;
     for (int p = 0; p < kProducers; ++p)
         producers.emplace_back([&, p] {
-            for (int i = 0; i < kPerProducer; ++i) q.push(p * kPerProducer + i);
+            for (int i = 0; i < kPerProducer; ++i) {
+                int v = p * kPerProducer + i;
+                EXPECT_EQ(q.try_push(v), PushStatus::kOk);
+            }
         });
     for (auto& t : producers) t.join();
     q.close();

@@ -4,15 +4,19 @@
 // client serving at any execution thread count; a warm ModelCache hit opens
 // a session with ZERO reduction work (builds counter flat, in-process and
 // through the disk tier); delay semantics agree with the standalone
-// transient_study() experiment.
+// transient_study() experiment; flush_all() waits for the backlogs without
+// holding the service lock.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <future>
 #include <thread>
 #include <vector>
 
 #include "analysis/transient_batch.h"
+#include "held_flusher.h"
 #include "mor/model_io.h"
 #include "mor_test_utils.h"
 #include "service/study_service.h"
@@ -33,8 +37,6 @@ StudyServiceOptions service_options(int exec_threads) {
     opts.reduction.param_order = 2;
     opts.transient.transient.t_stop = 10.0;
     opts.transient.transient.dt = 0.5;
-    opts.batcher.max_batch = 24;
-    opts.batcher.max_wait_ms = 10.0;
     opts.batcher.threads = exec_threads;
     return opts;
 }
@@ -198,6 +200,31 @@ TEST(StudyService, DelaySemanticsMatchStandaloneTransientStudy) {
         EXPECT_EQ(d.delay.has_value(), study.delays[i].has_value());
         if (d.delay) EXPECT_EQ(*d.delay, *study.delays[i]);
     }
+}
+
+// flush_all() waits for every session's backlog, but not under the service
+// lock: a num_sessions() on another thread answers while the flush waits.
+TEST(StudyService, FlushAllDoesNotHoldTheServiceLock) {
+    const circuit::ParametricSystem sys = test_system();
+    ModelCache cache;
+    StudyService service(cache, service_options(1));
+    StudySession& session = service.open(sys);
+
+    std::future<void> flushing;
+    std::future<int> counting;
+    varmor::testing::HeldFlusher hold;
+    auto query = session.transfer({0.1, -0.05}, cplx(0.0, 1.0));
+    ASSERT_TRUE(hold.held());  // the query's batch waits at the flush point
+    flushing = std::async(std::launch::async, [&] { service.flush_all(); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    counting = std::async(std::launch::async, [&] { return service.num_sessions(); });
+    const bool answered =
+        counting.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+    hold.release();
+    EXPECT_TRUE(answered) << "num_sessions() waited for flush_all()";
+    EXPECT_EQ(counting.get(), 1);
+    flushing.get();
+    expect_bit_identical(query.get(), session.transfer_now({0.1, -0.05}, cplx(0.0, 1.0)));
 }
 
 }  // namespace
