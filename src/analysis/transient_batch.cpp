@@ -130,10 +130,9 @@ TransientBatchRunner::CornerOutcome TransientBatchRunner::run_corner_captured(
     // Every batched corner — service delay lane or run_batch driver — funnels
     // through here, so this is where the per-corner cost distribution lives.
     // A corner is ms-scale; two clock reads are noise.
-    static obs::Counter& corners =
-        obs::Registry::global().counter("transient.corners", 16);
+    static obs::Counter& corners = obs::Registry::global().counter("transient.corners");
     static obs::Counter& corner_failures =
-        obs::Registry::global().counter("transient.corner_failures", 16);
+        obs::Registry::global().counter("transient.corner_failures");
     static obs::Histogram& corner_hist =
         obs::Registry::global().histogram("transient.corner_ns");
     const std::int64_t t0 = obs::enabled() ? util::Timer::now_ns() : 0;

@@ -336,14 +336,13 @@ std::vector<std::vector<ZMatrix>> RomEvalEngine::transfer_grid(
     // Grid-level stage timers. Per-chunk accounting only: each chunk times
     // its stamps (2 clock reads per SAMPLE, the expensive O(q^3) stage) and
     // charges the remainder of its wall time to the O(q^2) per-frequency
-    // solves — no clock read on the per-point hot path. Counters are
-    // sharded: every pool worker adds once per chunk.
+    // solves — no clock read on the per-point hot path.
     obs::Registry& reg = obs::Registry::global();
     static obs::Counter& grid_count = reg.counter("rom_eval.grids");
-    static obs::Counter& sample_count = reg.counter("rom_eval.samples", 16);
-    static obs::Counter& point_count = reg.counter("rom_eval.points", 16);
-    static obs::Counter& stamp_ns = reg.counter("rom_eval.stamp_ns", 16);
-    static obs::Counter& solve_ns = reg.counter("rom_eval.solve_ns", 16);
+    static obs::Counter& sample_count = reg.counter("rom_eval.samples");
+    static obs::Counter& point_count = reg.counter("rom_eval.points");
+    static obs::Counter& stamp_ns = reg.counter("rom_eval.stamp_ns");
+    static obs::Counter& solve_ns = reg.counter("rom_eval.solve_ns");
     static obs::Histogram& grid_hist = reg.histogram("rom_eval.grid_ns");
     const bool timed = obs::enabled();
     const std::int64_t grid_begin = timed ? util::Timer::now_ns() : 0;

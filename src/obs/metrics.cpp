@@ -7,30 +7,6 @@
 
 namespace varmor::obs {
 
-namespace detail {
-
-unsigned thread_slot() {
-    static std::atomic<unsigned> next{0};
-    thread_local unsigned slot =
-        next.fetch_add(1, std::memory_order_relaxed);
-    return slot;
-}
-
-}  // namespace detail
-
-// ---------------------------------------------------------------------------
-// Counter
-// ---------------------------------------------------------------------------
-
-Counter::Counter(int shards) {
-    unsigned n = 1;
-    const unsigned want =
-        static_cast<unsigned>(std::clamp(shards, 1, 64));
-    while (n < want) n <<= 1;
-    cells_ = std::make_unique<Cell[]>(n);
-    mask_ = n - 1;
-}
-
 // ---------------------------------------------------------------------------
 // Histogram
 // ---------------------------------------------------------------------------
@@ -233,10 +209,10 @@ Registry& Registry::global() {
     return registry;
 }
 
-Counter& Registry::counter(const std::string& name, int shards) {
+Counter& Registry::counter(const std::string& name) {
     util::MutexLock lock(mutex_);
     auto& slot = counters_[name];
-    if (!slot) slot = std::make_unique<Counter>(shards);
+    if (!slot) slot = std::make_unique<Counter>();
     return *slot;
 }
 

@@ -15,8 +15,7 @@
 // Three instrument kinds, all safe to hit from any thread without taking a
 // lock on the record path:
 //
-//   Counter    monotonic event count; relaxed atomic add, optionally sharded
-//              across cache lines so concurrent writers don't false-share.
+//   Counter    monotonic event count; one relaxed atomic add.
 //   Gauge      last-written level (slab occupancy, queue depth).
 //   Histogram  fixed 64-bucket log2 latency histogram; lock-free record,
 //              snapshots merge and answer p50/p95/p99.
@@ -61,47 +60,21 @@ inline void set_enabled(bool on) {
 }
 #endif
 
-namespace detail {
-/// Dense small integer id for the calling thread, assigned on first use;
-/// shard selector for Counter.
-unsigned thread_slot();
-}  // namespace detail
-
-/// Monotonic event counter. With shards > 1 each writer thread picks a
-/// cache-line-private cell by thread slot, so hot-path increments from the
-/// pool's workers never contend; value() folds the cells.
+/// Monotonic event counter. The hottest ones are added once per pool
+/// chunk, transient corner or refactorization — far too rarely for writers
+/// to contend on the one cache line.
 class Counter {
 public:
-    /// `shards` is rounded up to a power of two (max 64). Use 1 (default)
-    /// for cold counters, >= hardware concurrency for per-item hot paths.
-    explicit Counter(int shards = 1);
-
+    Counter() = default;
     Counter(const Counter&) = delete;
     Counter& operator=(const Counter&) = delete;
 
-    void add(long long delta = 1) {
-        cells_[detail::thread_slot() & mask_].v.fetch_add(
-            delta, std::memory_order_relaxed);
-    }
-
-    long long value() const {
-        long long total = 0;
-        for (unsigned i = 0; i <= mask_; ++i)
-            total += cells_[i].v.load(std::memory_order_relaxed);
-        return total;
-    }
-
-    void reset() {
-        for (unsigned i = 0; i <= mask_; ++i)
-            cells_[i].v.store(0, std::memory_order_relaxed);
-    }
+    void add(long long delta = 1) { v_.fetch_add(delta, std::memory_order_relaxed); }
+    long long value() const { return v_.load(std::memory_order_relaxed); }
+    void reset() { v_.store(0, std::memory_order_relaxed); }
 
 private:
-    struct alignas(64) Cell {
-        std::atomic<long long> v{0};
-    };
-    std::unique_ptr<Cell[]> cells_;
-    unsigned mask_;  ///< shards - 1 (shards is a power of two)
+    std::atomic<long long> v_{0};
 };
 
 /// Last-written level (occupancy, depth, configuration facts). set() wins
@@ -226,9 +199,7 @@ public:
 
     static Registry& global();
 
-    /// `shards` applies only on first creation of the name.
-    Counter& counter(const std::string& name, int shards = 1)
-        EXCLUDES(mutex_);
+    Counter& counter(const std::string& name) EXCLUDES(mutex_);
     Gauge& gauge(const std::string& name) EXCLUDES(mutex_);
     Histogram& histogram(const std::string& name) EXCLUDES(mutex_);
 

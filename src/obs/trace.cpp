@@ -2,16 +2,6 @@
 
 namespace varmor::obs {
 
-const char* stage_name(Stage s) {
-    switch (s) {
-        case Stage::kQueueWait: return "queue_wait";
-        case Stage::kStamp: return "stamp";
-        case Stage::kSolve: return "solve";
-        case Stage::kFulfil: return "fulfil";
-    }
-    return "unknown";
-}
-
 QueryTrace QueryTrace::mint() {
     QueryTrace t;
     if (!enabled()) return t;  // inactive: id stays 0, no clock read

@@ -30,8 +30,6 @@ namespace varmor::obs {
 /// Pipeline stages a query's spans can name.
 enum class Stage : std::uint8_t { kQueueWait = 0, kStamp, kSolve, kFulfil };
 
-const char* stage_name(Stage s);
-
 /// Half-open [begin, end) interval on util::Timer's monotonic clock.
 struct Span {
     Stage stage = Stage::kQueueWait;
@@ -65,13 +63,6 @@ struct QueryTrace {
         spans[num_spans++] = Span{stage, begin_ns, end_ns};
     }
 
-    /// Duration of the first span with the given stage, or 0.
-    std::int64_t stage_ns(Stage stage) const {
-        for (int i = 0; i < num_spans; ++i)
-            if (spans[i].stage == stage) return spans[i].duration_ns();
-        return 0;
-    }
-
     /// End of the most recent span (submit time when none) — where the next
     /// stage's span picks up.
     std::int64_t last_end_ns() const {
@@ -81,30 +72,6 @@ struct QueryTrace {
     /// Mint a live trace (fresh process-unique id, submit timestamp) —
     /// or an inactive one, with zero clock reads, when telemetry is off.
     static QueryTrace mint();
-};
-
-/// RAII span recorder: stamps begin on construction, records into the trace
-/// on destruction. Inactive traces (or a null pointer) cost nothing — not
-/// even the clock reads.
-class ScopedSpan {
-public:
-    ScopedSpan(QueryTrace* trace, Stage stage)
-        : trace_(trace != nullptr && trace->active() ? trace : nullptr),
-          stage_(stage),
-          begin_ns_(trace_ != nullptr ? util::Timer::now_ns() : 0) {}
-
-    ~ScopedSpan() {
-        if (trace_ != nullptr)
-            trace_->add(stage_, begin_ns_, util::Timer::now_ns());
-    }
-
-    ScopedSpan(const ScopedSpan&) = delete;
-    ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-private:
-    QueryTrace* trace_;
-    Stage stage_;
-    std::int64_t begin_ns_;
 };
 
 /// A completed query's trace as stored/dumped: the spans plus which lane

@@ -4,10 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include <unistd.h>
 
@@ -21,7 +21,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char* kManifestName = "manifest.txt";
 constexpr const char* kStoreLockName = "store.lock";
 
 void backoff_sleep(const RetryPolicy& retry, int attempt) {
@@ -57,8 +56,7 @@ DiskStore::DiskStore(const DiskStoreOptions& opts) : opts_(opts) {
     check(opts_.retry.attempts >= 1, "DiskStore: retry.attempts must be >= 1");
     fs::create_directories(opts_.dir);
     // Startup recovery: a server that replaces a crashed one inherits the
-    // dead writer's orphans and a possibly stale manifest — clean both
-    // before serving.
+    // dead writer's orphans — clean them before serving.
     sweep();
 }
 
@@ -159,7 +157,8 @@ void DiskStore::sweep() {
 void DiskStore::maintain_locked(const std::string& just_written_hex) {
     // 1. Stale-tmp sweep: a crashed writer leaves a complete-or-partial
     //    .tmp.* file behind; anything older than the TTL cannot belong to a
-    //    live write (writes are seconds at most) and is removed.
+    //    live write (writes are seconds at most) and is removed. A bounded
+    //    store also lists its artifacts for the GC.
     struct Artifact {
         fs::path path;
         std::string key;
@@ -179,7 +178,7 @@ void DiskStore::maintain_locked(const std::string& just_written_hex) {
             }
             continue;
         }
-        if (p.extension() != ".rom") continue;
+        if (opts_.capacity_bytes == 0 || p.extension() != ".rom") continue;
         Artifact a;
         a.path = p;
         a.key = p.stem().string();
@@ -193,71 +192,21 @@ void DiskStore::maintain_locked(const std::string& just_written_hex) {
     //    tie-break). The artifact just persisted by THIS call survives the
     //    pass unconditionally — storing a model and immediately GCing it
     //    away would turn every insert into a rebuild for someone.
-    if (opts_.capacity_bytes > 0) {
-        std::uint64_t total = 0;
-        for (const Artifact& a : artifacts) total += a.bytes;
-        std::sort(artifacts.begin(), artifacts.end(),
-                  [](const Artifact& a, const Artifact& b) {
-                      if (a.mtime != b.mtime) return a.mtime < b.mtime;
-                      return a.key < b.key;
-                  });
-        std::vector<Artifact> kept;
-        for (std::size_t i = 0; i < artifacts.size(); ++i) {
-            Artifact& a = artifacts[i];
-            if (total <= opts_.capacity_bytes || a.key == just_written_hex) {
-                kept.push_back(std::move(a));
-                continue;
-            }
-            std::error_code rm_ec;
-            if (fs::remove(a.path, rm_ec)) {
-                total -= a.bytes;
-                registry_.counter("disk_store.gc_removed").add();
-            } else {
-                kept.push_back(std::move(a));
-            }
-        }
-        artifacts = std::move(kept);
-    }
-
-    // 3. Manifest rewrite from what actually survived, atomically. Scan-
-    //    then-write under the store lock keeps it consistent with the
-    //    directory no matter which process mutated last.
-    std::sort(artifacts.begin(), artifacts.end(),
-              [](const Artifact& a, const Artifact& b) { return a.key < b.key; });
-    const std::string manifest = (fs::path(opts_.dir) / kManifestName).string();
-    const std::string tmp = temp_name(manifest);
-    {
-        std::ofstream f(tmp);
-        if (!f.good()) return;  // manifest is an index, not truth — skip quietly
-        f << "varmor-manifest 1\n";
-        for (const Artifact& a : artifacts) f << a.key << ' ' << a.bytes << "\n";
-        f.flush();
-        if (!f.good()) {
-            f.close();
-            std::error_code rm_ec;
-            fs::remove(tmp, rm_ec);
-            return;
-        }
-    }
-    std::error_code mv_ec;
-    fs::rename(tmp, manifest, mv_ec);
-    if (mv_ec) {
+    std::uint64_t total = 0;
+    for (const Artifact& a : artifacts) total += a.bytes;
+    std::sort(artifacts.begin(), artifacts.end(), [](const Artifact& a, const Artifact& b) {
+        if (a.mtime != b.mtime) return a.mtime < b.mtime;
+        return a.key < b.key;
+    });
+    for (const Artifact& a : artifacts) {
+        if (total <= opts_.capacity_bytes) break;
+        if (a.key == just_written_hex) continue;
         std::error_code rm_ec;
-        fs::remove(tmp, rm_ec);
+        if (fs::remove(a.path, rm_ec)) {
+            total -= a.bytes;
+            registry_.counter("disk_store.gc_removed").add();
+        }
     }
-}
-
-std::vector<std::string> DiskStore::manifest_keys() const {
-    std::vector<std::string> keys;
-    std::ifstream f((fs::path(opts_.dir) / kManifestName).string());
-    if (!f.good()) return keys;
-    std::string magic;
-    int version = 0;
-    if (!(f >> magic >> version) || magic != "varmor-manifest") return keys;
-    std::string key;
-    std::uint64_t bytes = 0;
-    while (f >> key >> bytes) keys.push_back(key);
-    return keys;
 }
 
 }  // namespace varmor::service

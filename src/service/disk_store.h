@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "mor/reduced_model.h"
 #include "obs/metrics.h"
@@ -38,13 +37,8 @@ struct DiskStoreOptions {
 ///   <key>.rom       one model artifact, content-hash-verified on load
 ///   <key>.lock      per-key flock target: cross-process single-flight for
 ///                   builds of that key (writers hold it; crash releases it)
-///   store.lock      store-wide flock target: serializes manifest rewrites,
-///                   GC passes, and stale-tmp sweeps across processes
-///   manifest.txt    the store's index — one "<key> <bytes>" line per
-///                   artifact, key-sorted, rewritten atomically from a
-///                   directory scan under store.lock after every mutation
-///                   (scan-then-write makes it self-healing: it can lag a
-///                   concurrent writer momentarily but never diverge)
+///   store.lock      store-wide flock target: serializes GC passes and
+///                   stale-tmp sweeps across processes
 ///   *.tmp.*         in-flight writes (writer-unique names); orphans older
 ///                   than tmp_ttl_seconds are swept by construction and GC
 ///
@@ -68,9 +62,9 @@ public:
     /// on any miss (absent, corrupt, or unreadable after retries).
     std::shared_ptr<const mor::ReducedModel> load(const std::string& key_hex);
 
-    /// Persists the artifact atomically (temp + rename, retried), then
-    /// refreshes the manifest and runs GC. Returns false when every attempt
-    /// failed — callers keep serving the in-memory model.
+    /// Persists the artifact atomically (temp + rename, retried), then runs
+    /// GC. Returns false when every attempt failed — callers keep serving
+    /// the in-memory model.
     bool store(const std::string& key_hex, const mor::ReducedModel& model);
 
     /// Blocks until this process holds the cross-process build lock for the
@@ -78,13 +72,9 @@ public:
     /// have persisted the model already.
     util::FileLock lock_key(const std::string& key_hex);
 
-    /// Removes .tmp.* orphans older than tmp_ttl_seconds and refreshes the
-    /// manifest (also run by the constructor and after every store()).
+    /// Removes .tmp.* orphans older than tmp_ttl_seconds and runs GC (also
+    /// run by the constructor and after every store()).
     void sweep();
-
-    /// Keys currently listed in manifest.txt (sorted). Empty when the
-    /// manifest does not exist yet.
-    std::vector<std::string> manifest_keys() const;
 
     /// This store's `disk_store.*` counters (one still at zero may be
     /// absent): `loads` (verified reloads served), `load_failures` (probes
@@ -98,9 +88,8 @@ public:
 private:
     std::string lock_path(const std::string& key_hex) const;
 
-    /// Manifest rewrite + size GC + stale-tmp sweep. Caller holds the
-    /// store-wide FILE lock (cross-process; invisible to the static
-    /// analysis).
+    /// Stale-tmp sweep + size GC. Caller holds the store-wide FILE lock
+    /// (cross-process; invisible to the static analysis).
     void maintain_locked(const std::string& just_written_hex);
 
     DiskStoreOptions opts_;

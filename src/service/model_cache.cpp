@@ -47,13 +47,7 @@ CacheKey cache_key(const circuit::ParametricSystem& sys,
 ModelCache::ModelCache(const ModelCacheOptions& opts)
     : opts_(opts), memory_hits_(registry_.counter("model_cache.memory_hits")) {
     check(opts_.memory_capacity >= 1, "ModelCache: memory_capacity must be >= 1");
-    check(opts_.memory_shards >= 1, "ModelCache: memory_shards must be >= 1");
     check(opts_.poison_after >= 1, "ModelCache: poison_after must be >= 1");
-    shard_capacity_ =
-        (opts_.memory_capacity + opts_.memory_shards - 1) / opts_.memory_shards;
-    shards_.reserve(static_cast<std::size_t>(opts_.memory_shards));
-    for (int i = 0; i < opts_.memory_shards; ++i)
-        shards_.push_back(std::make_unique<Shard>());
     if (!opts_.disk_dir.empty()) {
         DiskStoreOptions d;
         d.dir = opts_.disk_dir;
@@ -69,61 +63,41 @@ std::string ModelCache::disk_path(const CacheKey& key) const {
     return disk_->path(key.hex());
 }
 
-ModelCache::ModelPtr ModelCache::memory_lookup_locked(Shard& sh,
-                                                      const CacheKey& key) const {
-    auto it = sh.index.find(key.value);
-    if (it == sh.index.end()) return nullptr;
-    sh.lru.splice(sh.lru.begin(), sh.lru, it->second);  // bump to most recent
+ModelCache::ModelPtr ModelCache::memory_lookup_locked(const CacheKey& key) {
+    auto it = index_.find(key.value);
+    if (it == index_.end()) return nullptr;
+    lru_.splice(lru_.begin(), lru_, it->second);  // bump to most recent
     memory_hits_.add();
     return it->second->model;
 }
 
-void ModelCache::insert_locked(Shard& sh, const CacheKey& key, ModelPtr model) const {
-    auto it = sh.index.find(key.value);
-    if (it != sh.index.end()) {
-        sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
+void ModelCache::insert_locked(const CacheKey& key, ModelPtr model) {
+    auto it = index_.find(key.value);
+    if (it != index_.end()) {
+        lru_.splice(lru_.begin(), lru_, it->second);
         it->second->model = std::move(model);
         return;
     }
-    sh.lru.push_front(Entry{key, std::move(model)});
-    sh.index[key.value] = sh.lru.begin();
-    while (static_cast<int>(sh.lru.size()) > shard_capacity_) {
-        sh.index.erase(sh.lru.back().key.value);
-        sh.lru.pop_back();
+    lru_.push_front(Entry{key, std::move(model)});
+    index_[key.value] = lru_.begin();
+    while (static_cast<int>(lru_.size()) > opts_.memory_capacity) {
+        index_.erase(lru_.back().key.value);
+        lru_.pop_back();
         registry_.counter("model_cache.evictions").add();
     }
 }
 
-ModelCache::ModelPtr ModelCache::lookup(const CacheKey& key) {
-    Shard& sh = shard(key);
-    {
-        util::MutexLock lock(sh.mutex);
-        if (ModelPtr m = memory_lookup_locked(sh, key)) return m;
-    }
-    if (!disk_) return nullptr;
-    ModelPtr m = disk_->load(key.hex());
-    if (m) {
-        registry_.counter("model_cache.disk_hits").add();
-        util::MutexLock lock(sh.mutex);
-        insert_locked(sh, key, m);
-    }
-    return m;
-}
-
 bool ModelCache::poisoned(const CacheKey& key) const {
-    Shard& sh = shard(key);
-    util::MutexLock lock(sh.mutex);
-    auto it = sh.poisoned.find(key.value);
-    return it != sh.poisoned.end() &&
-           util::Deadline::clock::now() < it->second.expiry;
+    util::MutexLock lock(mutex_);
+    auto it = poisoned_.find(key.value);
+    return it != poisoned_.end() && util::Deadline::clock::now() < it->second.expiry;
 }
 
 void ModelCache::record_build_failure(const CacheKey& key, std::exception_ptr error) {
-    Shard& sh = shard(key);
-    util::MutexLock lock(sh.mutex);
-    const int failures = ++sh.consecutive_failures[key.value];
+    util::MutexLock lock(mutex_);
+    const int failures = ++consecutive_failures_[key.value];
     if (failures >= opts_.poison_after) {
-        sh.poisoned[key.value] =
+        poisoned_[key.value] =
             Poison{std::move(error),
                    util::Deadline::clock::now() +
                        std::chrono::duration_cast<util::Deadline::clock::duration>(
@@ -135,16 +109,15 @@ void ModelCache::record_build_failure(const CacheKey& key, std::exception_ptr er
 
 ModelCache::ModelPtr ModelCache::build_miss(const CacheKey& key, const Builder& build) {
     const std::string hex = key.hex();
-    Shard& sh = shard(key);
 
     // A persisted artifact becomes a memory entry and counts as a disk hit.
     const auto probe_disk = [&]() -> ModelPtr {
         ModelPtr m = disk_->load(hex);
         if (m) {
             registry_.counter("model_cache.disk_hits").add();
-            util::MutexLock lock(sh.mutex);
-            sh.consecutive_failures.erase(key.value);
-            insert_locked(sh, key, m);
+            util::MutexLock lock(mutex_);
+            consecutive_failures_.erase(key.value);
+            insert_locked(key, m);
         }
         return m;
     };
@@ -176,10 +149,10 @@ ModelCache::ModelPtr ModelCache::build_miss(const CacheKey& key, const Builder& 
 
     registry_.counter("model_cache.builds").add();
     {
-        util::MutexLock lock(sh.mutex);
-        sh.consecutive_failures.erase(key.value);
-        sh.poisoned.erase(key.value);
-        insert_locked(sh, key, model);
+        util::MutexLock lock(mutex_);
+        consecutive_failures_.erase(key.value);
+        poisoned_.erase(key.value);
+        insert_locked(key, model);
     }
     // Write-through persist — retried inside the store; an ultimate failure
     // is counted there, NOT thrown: the disk tier is an optimization and a
@@ -190,20 +163,19 @@ ModelCache::ModelPtr ModelCache::build_miss(const CacheKey& key, const Builder& 
 
 ModelCache::ModelPtr ModelCache::get_or_build(const CacheKey& key, const Builder& build,
                                               const util::Deadline& deadline) {
-    Shard& sh = shard(key);
     {
-        util::MutexLock lock(sh.mutex);
-        if (ModelPtr m = memory_lookup_locked(sh, key)) return m;
+        util::MutexLock lock(mutex_);
+        if (ModelPtr m = memory_lookup_locked(key)) return m;
         // Negative cache: a key whose builder keeps failing fails FAST (the
         // stored failure, rethrown) instead of re-running the builder on
         // every request. Expiry lets transient infrastructure failures heal.
-        auto it = sh.poisoned.find(key.value);
-        if (it != sh.poisoned.end()) {
+        auto it = poisoned_.find(key.value);
+        if (it != poisoned_.end()) {
             if (util::Deadline::clock::now() < it->second.expiry) {
                 registry_.counter("model_cache.poison_hits").add();
                 std::rethrow_exception(it->second.error);
             }
-            sh.poisoned.erase(it);  // expired — try a real build again
+            poisoned_.erase(it);  // expired — try a real build again
         }
     }
     if (deadline.expired())
@@ -214,24 +186,15 @@ ModelCache::ModelPtr ModelCache::get_or_build(const CacheKey& key, const Builder
 }
 
 void ModelCache::evict_memory() {
-    for (const auto& shard_ptr : shards_) {
-        Shard& sh = *shard_ptr;
-        util::MutexLock lock(sh.mutex);
-        registry_.counter("model_cache.evictions")
-            .add(static_cast<long long>(sh.lru.size()));
-        sh.lru.clear();
-        sh.index.clear();
-    }
+    util::MutexLock lock(mutex_);
+    registry_.counter("model_cache.evictions").add(static_cast<long long>(lru_.size()));
+    lru_.clear();
+    index_.clear();
 }
 
 int ModelCache::memory_size() const {
-    int total = 0;
-    for (const auto& shard_ptr : shards_) {
-        const Shard& sh = *shard_ptr;
-        util::MutexLock lock(sh.mutex);
-        total += static_cast<int>(sh.lru.size());
-    }
-    return total;
+    util::MutexLock lock(mutex_);
+    return static_cast<int>(lru_.size());
 }
 
 ModelCacheStats ModelCache::stats() const {
@@ -243,7 +206,6 @@ ModelCacheStats ModelCache::stats() const {
 
 obs::Snapshot ModelCache::telemetry() const {
     obs::Snapshot s = registry_.snapshot();
-    s.add_gauge("model_cache.shards", num_shards());
     s.add_gauge("model_cache.memory_size", memory_size());
     if (disk_) s.merge(disk_->telemetry());
     return s;

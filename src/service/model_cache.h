@@ -7,7 +7,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "circuit/parametric_system.h"
 #include "mor/lowrank_pmor.h"
@@ -46,21 +45,10 @@ struct ModelCacheOptions {
     /// recently used entries are dropped from memory past this; with a disk
     /// tier configured they remain reloadable bit-identically.
     int memory_capacity = 8;
-    /// Lock shards of the in-memory tier. The tier is partitioned by cache
-    /// key into this many independent (mutex, LRU, index) shards so
-    /// concurrent hits on different keys never contend on one cache-wide
-    /// lock. 1 = the unsharded reference behavior (one global LRU order).
-    /// Capacity is split evenly: each shard holds up to
-    /// ceil(memory_capacity / memory_shards) models, so with more shards
-    /// than capacity the effective capacity is memory_shards. Eviction is
-    /// per shard (LRU within the shard, not globally) — a deliberate trade:
-    /// global LRU order would need exactly the global lock this removes.
-    int memory_shards = 8;
     /// Directory of the disk tier (created on demand). Empty = memory-only.
     /// Models are persisted write-through on build as `<key-hex>.rom` via a
-    /// DiskStore (manifest, GC, cross-process locking — see disk_store.h), so
-    /// a later process (or a post-eviction request) reloads instead of
-    /// re-reducing.
+    /// DiskStore (GC, cross-process locking — see disk_store.h), so a later
+    /// process (or a post-eviction request) reloads instead of re-reducing.
     std::string disk_dir;
     /// GC bound on the disk tier (Σ .rom bytes); 0 = unbounded.
     std::uint64_t disk_capacity_bytes = 0;
@@ -114,13 +102,12 @@ struct ModelCacheStats {
 /// Entries are handed out as shared_ptr<const ReducedModel>, so a model
 /// stays valid for clients holding it across an eviction.
 ///
-/// Thread-safety: all public methods are safe to call concurrently. The
-/// in-memory tier is SHARDED by cache key (ModelCacheOptions::memory_shards
-/// independent mutex+LRU shards), so concurrent warm hits on different keys
-/// never serialize on a cache-wide lock; counters live in the cache's own
-/// obs::Registry. Builders run OUTSIDE every shard lock (other keys —
-/// and other shards — proceed during a build); single-flight and the disk
-/// tier are shared across shards, unchanged.
+/// Thread-safety: all public methods are safe to call concurrently. One
+/// mutex guards the in-memory tier (LRU order, index, negative cache); it is
+/// taken once per session open or reduction, never per served query, and
+/// only around tier updates. Builders and every disk IO run OUTSIDE it, so
+/// other keys proceed during a build. Counters live in the cache's own
+/// obs::Registry.
 class ModelCache {
 public:
     using ModelPtr = std::shared_ptr<const mor::ReducedModel>;
@@ -138,26 +125,14 @@ public:
     /// `deadline` bounds how long this call waits on someone ELSE's in-flight
     /// build (DeadlineExceeded); the build itself always runs to completion.
     ModelPtr get_or_build(const CacheKey& key, const Builder& build,
-                          const util::Deadline& deadline = {});
-
-    /// Probe without building: memory then disk; nullptr on a true miss.
-    ModelPtr lookup(const CacheKey& key);
+                          const util::Deadline& deadline = {}) EXCLUDES(mutex_);
 
     /// True while `key` is negative-cached after repeated build failures.
-    bool poisoned(const CacheKey& key) const;
+    bool poisoned(const CacheKey& key) const EXCLUDES(mutex_);
 
     /// Drops the whole memory tier (the disk tier keeps every built model).
     /// Test/ops hook for exercising eviction + reload paths.
-    void evict_memory();
-
-    /// Number of in-memory shards (== options().memory_shards, validated).
-    int num_shards() const { return static_cast<int>(shards_.size()); }
-
-    /// Which shard serves `key` — exposed so tests can construct same-shard
-    /// / cross-shard key sets deliberately.
-    int shard_of(const CacheKey& key) const {
-        return static_cast<int>(key.value % shards_.size());
-    }
+    void evict_memory() EXCLUDES(mutex_);
 
     /// Path a model with this key is (or would be) persisted under; empty
     /// when no disk tier is configured.
@@ -167,13 +142,12 @@ public:
     DiskStore* disk_store() { return disk_.get(); }
     const DiskStore* disk_store() const { return disk_.get(); }
 
-    int memory_size() const;
+    int memory_size() const EXCLUDES(mutex_);
     ModelCacheStats stats() const;
 
-    /// This cache's `model_cache.*` counters, the gauges
-    /// `model_cache.shards` and `model_cache.memory_size`, and the disk
-    /// tier's `disk_store.*` counters when there is one.
-    obs::Snapshot telemetry() const;
+    /// This cache's `model_cache.*` counters, the `model_cache.memory_size`
+    /// gauge, and the disk tier's `disk_store.*` counters when there is one.
+    obs::Snapshot telemetry() const EXCLUDES(mutex_);
 
 private:
     struct Entry {
@@ -187,39 +161,21 @@ private:
         util::Deadline::clock::time_point expiry;
     };
 
-    /// One independent slice of the in-memory tier: its own lock, LRU order
-    /// and negative cache. Keys map to shards by shard_of; nothing ever
-    /// migrates between shards.
-    struct Shard {
-        mutable util::Mutex mutex;
-        std::list<Entry> lru GUARDED_BY(mutex);  ///< front = most recently used
-        std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index
-            GUARDED_BY(mutex);
-        std::unordered_map<std::uint64_t, Poison> poisoned GUARDED_BY(mutex);
-        std::unordered_map<std::uint64_t, int> consecutive_failures
-            GUARDED_BY(mutex);
-    };
+    /// Memory-tier probe + LRU bump.
+    ModelPtr memory_lookup_locked(const CacheKey& key) REQUIRES(mutex_);
 
-    Shard& shard(const CacheKey& key) const {
-        return *shards_[static_cast<std::size_t>(shard_of(key))];
-    }
-
-    /// Memory-tier probe + LRU bump within the key's shard.
-    ModelPtr memory_lookup_locked(Shard& sh, const CacheKey& key) const
-        REQUIRES(sh.mutex);
-
-    /// Insert at the shard's LRU front, evicting past the per-shard capacity.
-    void insert_locked(Shard& sh, const CacheKey& key, ModelPtr model) const
-        REQUIRES(sh.mutex);
+    /// Insert at the LRU front, evicting past memory_capacity.
+    void insert_locked(const CacheKey& key, ModelPtr model) REQUIRES(mutex_);
 
     /// The single-flight winner's miss path: disk probe → cross-process
     /// lock → re-probe → build → insert + persist. The build-outside-the-
-    /// lock contract: the builder and every disk IO run with the shard lock
+    /// lock contract: the builder and every disk IO run with mutex_
     /// released; it is taken only around tier updates.
-    ModelPtr build_miss(const CacheKey& key, const Builder& build);
+    ModelPtr build_miss(const CacheKey& key, const Builder& build) EXCLUDES(mutex_);
 
     /// Records a builder failure; poisons the key past the threshold.
-    void record_build_failure(const CacheKey& key, std::exception_ptr error);
+    void record_build_failure(const CacheKey& key, std::exception_ptr error)
+        EXCLUDES(mutex_);
 
     ModelCacheOptions opts_;
     /// The `model_cache.*` counters. Warm hits bump `memory_hits_`, resolved
@@ -227,11 +183,16 @@ private:
     /// evictions, failed builds) look their counter up by name.
     mutable obs::Registry registry_;
     obs::Counter& memory_hits_;
-    int shard_capacity_ = 0;  ///< ceil(memory_capacity / memory_shards)
     std::unique_ptr<DiskStore> disk_;  ///< null when memory-only
     util::SingleFlight<std::uint64_t, ModelPtr> flight_;
-    /// Fixed at construction (unique_ptr: Shard owns a Mutex, not movable).
-    std::vector<std::unique_ptr<Shard>> shards_;
+
+    mutable util::Mutex mutex_;
+    std::list<Entry> lru_ GUARDED_BY(mutex_);  ///< front = most recently used
+    std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_
+        GUARDED_BY(mutex_);
+    std::unordered_map<std::uint64_t, Poison> poisoned_ GUARDED_BY(mutex_);
+    std::unordered_map<std::uint64_t, int> consecutive_failures_
+        GUARDED_BY(mutex_);
 };
 
 }  // namespace varmor::service

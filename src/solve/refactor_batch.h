@@ -69,12 +69,11 @@ public:
     /// factor()/use_reference() call on the same scratch.
     const sparse::SparseLuT<T>& factor(Scratch& s) const {
         // Registry dedupes by name, so the double and complex instantiations
-        // share ONE counter each. Sharded: every pool worker hits this per
-        // point.
+        // share ONE counter each.
         static obs::Counter& refactorizations =
-            obs::Registry::global().counter("solve.refactorizations", 16);
+            obs::Registry::global().counter("solve.refactorizations");
         static obs::Counter& fallbacks =
-            obs::Registry::global().counter("solve.refactor_fallbacks", 16);
+            obs::Registry::global().counter("solve.refactor_fallbacks");
         try {
             s.lu.refactorize(s.a, s.ws);
             refactorizations.add();

@@ -18,10 +18,8 @@ namespace {
 thread_local bool t_in_pool_section = false;
 
 /// The pool.* instruments, resolved in the process registry on first use.
-/// Every worker bumps `chunks` once per claim, so it is sharded (one cache
-/// line per thread slot, up to the Counter maximum of 64).
 struct PoolCounters {
-    obs::Counter& chunks = obs::Registry::global().counter("pool.chunks", 64);
+    obs::Counter& chunks = obs::Registry::global().counter("pool.chunks");
     obs::Counter& steals = obs::Registry::global().counter("pool.steals");
     obs::Counter& sections = obs::Registry::global().counter("pool.sections");
     obs::Gauge& queue_high_water = obs::Registry::global().gauge("pool.queue_high_water");

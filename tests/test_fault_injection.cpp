@@ -585,7 +585,7 @@ TEST(FaultInjection, WedgedBuildWaiterHonorsDeadline) {
                  util::DeadlineExceeded);
     winner.join();
     EXPECT_EQ(cache.stats().builds, 1);
-    EXPECT_NE(cache.lookup(key), nullptr);
+    EXPECT_EQ(cache.memory_size(), 1);
     FaultInjector::instance().clear();
 }
 

@@ -168,7 +168,6 @@ TEST(ModelCache, LruEvictsLeastRecentlyUsed) {
     const circuit::ParametricSystem sys = test_system();
     ModelCacheOptions copts;
     copts.memory_capacity = 2;
-    copts.memory_shards = 1;  // one shard = the single global LRU order pinned here
     ModelCache cache(copts);
 
     mor::LowRankPmorOptions o1 = small_reduction();
@@ -199,106 +198,53 @@ TEST(ModelCache, LruEvictsLeastRecentlyUsed) {
     EXPECT_EQ(cache.stats().builds, 4);
 }
 
-/// `count` distinct reduction-option variants whose cache keys all land on
-/// `target_shard` — built by scanning cheap key-affecting perturbations
-/// (drop_tol changes the key but not the build cost) until enough map there.
-std::vector<mor::LowRankPmorOptions> same_shard_options(
-    const ModelCache& cache, const circuit::ParametricSystem& sys,
-    int target_shard, std::size_t count) {
-    std::vector<mor::LowRankPmorOptions> out;
-    for (int i = 0; out.size() < count && i < 100000; ++i) {
-        mor::LowRankPmorOptions o = small_reduction();
-        o.orth.drop_tol = 1e-12 * (1.0 + i);
-        if (cache.shard_of(cache_key(sys, o)) == target_shard) out.push_back(o);
-    }
-    EXPECT_EQ(out.size(), count) << "could not find enough same-shard keys";
-    return out;
-}
-
-TEST(ModelCache, ShardedEvictionIsPerShardNotGlobal) {
+TEST(ModelCache, DefaultCacheHoldsItsCapacityWhateverTheKeys) {
     const circuit::ParametricSystem sys = test_system();
-    ModelCacheOptions copts;
-    copts.memory_capacity = 4;
-    copts.memory_shards = 2;  // per-shard capacity = 2
-    ModelCache cache(copts);
+    ModelCache cache;  // memory-only, memory_capacity 8
 
-    // Three keys on shard 0, one on shard 1. Four models total fit a GLOBAL
-    // capacity of 4, so any eviction below proves the bound is per shard.
-    const auto s0 = same_shard_options(cache, sys, 0, 3);
-    const auto s1 = same_shard_options(cache, sys, 1, 1);
-    auto build = [&](const mor::LowRankPmorOptions& o) {
-        return [&sys, o] { return mor::lowrank_pmor(sys, o).model; };
-    };
-    const CacheKey k1 = cache_key(sys, s1[0]);
-    std::vector<CacheKey> k0;
-    for (const auto& o : s0) k0.push_back(cache_key(sys, o));
-
-    (void)cache.get_or_build(k1, build(s1[0]));  // globally least-recent below
-    for (std::size_t i = 0; i < s0.size(); ++i)
-        (void)cache.get_or_build(k0[i], build(s0[i]));
-
-    // Shard 0 overflowed its slice (3 inserts, capacity 2): its own LRU entry
-    // k0[0] was dropped. Shard 1's entry survives even though it is the
-    // globally least-recently-used key.
-    EXPECT_EQ(cache.memory_size(), 3);
-    EXPECT_EQ(cache.stats().evictions, 1);
-    (void)cache.get_or_build(k1, [&]() -> mor::ReducedModel {
-        ADD_FAILURE() << "other shard's entry must not be evicted";
-        return mor::lowrank_pmor(sys, s1[0]).model;
-    });
-    (void)cache.get_or_build(k0[2], [&]() -> mor::ReducedModel {
-        ADD_FAILURE() << "most-recent entry of the overflowed shard must survive";
-        return mor::lowrank_pmor(sys, s0[2]).model;
-    });
-    EXPECT_EQ(cache.stats().builds, 4);
-    (void)cache.get_or_build(k0[0], build(s0[0]));  // the per-shard victim
-    EXPECT_EQ(cache.stats().builds, 5);
-}
-
-TEST(ModelCache, AggregateCountersAreTheSumOfShardCounters) {
-    const circuit::ParametricSystem sys = test_system();
-    ModelCacheOptions copts;
-    copts.memory_shards = 4;
-    ModelCache cache(copts);
-    ASSERT_EQ(cache.num_shards(), 4);
-
+    // Two keys that agree mod 8, found by scanning drop_tol (it changes the
+    // key but not the build cost). Two models fit a capacity of eight
+    // whatever their key bits: neither is evicted, neither rebuilds.
+    const mor::LowRankPmorOptions o0 = small_reduction();
+    const CacheKey k0 = cache_key(sys, o0);
     mor::LowRankPmorOptions o1 = small_reduction();
-    mor::LowRankPmorOptions o2 = small_reduction();
-    o2.s_order = 4;
-    const CacheKey k1 = cache_key(sys, o1), k2 = cache_key(sys, o2);
-    (void)cache.get_or_build(k1, [&] { return mor::lowrank_pmor(sys, o1).model; });
-    (void)cache.get_or_build(k2, [&] { return mor::lowrank_pmor(sys, o2).model; });
-    (void)cache.get_or_build(k1, [&] { return mor::lowrank_pmor(sys, o1).model; });
-    (void)cache.get_or_build(k1, [&] { return mor::lowrank_pmor(sys, o1).model; });
+    CacheKey k1;
+    for (int i = 1; i < 100000; ++i) {
+        o1.orth.drop_tol = 1e-12 * (1.0 + i);
+        k1 = cache_key(sys, o1);
+        if (k1 != k0 && k1.value % 8 == k0.value % 8) break;
+    }
+    ASSERT_EQ(k1.value % 8, k0.value % 8);
+    ASSERT_NE(k1, k0);
 
-    // The cache-wide counters cover every shard.
-    const ModelCacheStats agg = cache.stats();
-    EXPECT_EQ(agg.memory_hits, 2);
-    EXPECT_EQ(agg.builds, 2);
+    (void)cache.get_or_build(k0, [&] { return mor::lowrank_pmor(sys, o0).model; });
+    (void)cache.get_or_build(k1, [&] { return mor::lowrank_pmor(sys, o1).model; });
+    (void)cache.get_or_build(k0, [&] { return mor::lowrank_pmor(sys, o0).model; });
+
+    EXPECT_EQ(cache.memory_size(), 2);
+    EXPECT_EQ(cache.stats().evictions, 0);
+    EXPECT_EQ(cache.stats().builds, 2);
+    EXPECT_EQ(cache.stats().memory_hits, 1);
 }
 
-TEST(ModelCache, ShardedConcurrentHitMissStormMatchesUnshardedBitwise) {
+TEST(ModelCache, ConcurrentHitMissStormUnderEvictionMatchesSerialBitwise) {
     const circuit::ParametricSystem sys = test_system();
 
-    // Four distinct keys and their unsharded (memory_shards = 1) reference
-    // bits — the behavior the sharded tier must reproduce exactly.
+    // Four distinct keys and their reference bits, built serially through a
+    // cache of their own.
     std::vector<mor::LowRankPmorOptions> opts_of;
     for (int v = 0; v < 4; ++v) {
         mor::LowRankPmorOptions o = small_reduction();
         o.s_order = 2 + v;
         opts_of.push_back(o);
     }
-    ModelCacheOptions ref_opts;
-    ref_opts.memory_shards = 1;
-    ModelCache reference(ref_opts);
+    ModelCache reference;
     std::vector<ModelCache::ModelPtr> ref_models;
     for (const auto& o : opts_of)
         ref_models.push_back(reference.get_or_build(
             cache_key(sys, o), [&] { return mor::lowrank_pmor(sys, o).model; }));
 
-    ModelCacheOptions copts;
-    copts.memory_shards = 8;
-    ModelCache cache(copts);
+    ModelCache cache;
 
     // The storm: 8 clients hammer all four keys while the main thread evicts
     // the whole memory tier underneath them — every answer must still be the
@@ -402,7 +348,7 @@ int count_tmp_files(const std::string& dir) {
     return n;
 }
 
-/// The `.rom` stems actually present — what the manifest must agree with.
+/// The `.rom` stems actually present, sorted.
 std::vector<std::string> rom_stems(const std::string& dir) {
     std::vector<std::string> stems;
     for (const auto& entry : std::filesystem::directory_iterator(dir))
@@ -510,27 +456,7 @@ TEST(ModelCache, StaleTmpFromCrashedWriterIsSweptAtStartup) {
     EXPECT_TRUE(std::filesystem::exists(cache.disk_path(key)));
 }
 
-TEST(ModelCache, ManifestTracksTheDirectory) {
-    const circuit::ParametricSystem sys = test_system();
-    ModelCacheOptions copts;
-    copts.disk_dir = fresh_disk_dir("varmor_cache_manifest");
-    ModelCache cache(copts);
-
-    const mor::LowRankPmorOptions o1 = small_reduction();
-    mor::LowRankPmorOptions o2 = small_reduction();
-    o2.s_order = 4;
-    (void)cache.get_or_build(cache_key(sys, o1),
-                             [&] { return mor::lowrank_pmor(sys, o1).model; });
-    (void)cache.get_or_build(cache_key(sys, o2),
-                             [&] { return mor::lowrank_pmor(sys, o2).model; });
-
-    // The manifest is the directory's index: key-sorted, one line per
-    // artifact, refreshed after every store.
-    EXPECT_EQ(cache.disk_store()->manifest_keys(), rom_stems(copts.disk_dir));
-    EXPECT_EQ(cache.disk_store()->manifest_keys().size(), 2u);
-}
-
-TEST(ModelCache, DiskGcEvictsOldestAndUpdatesManifest) {
+TEST(ModelCache, DiskGcEvictsOldestArtifact) {
     const circuit::ParametricSystem sys = test_system();
     const mor::LowRankPmorOptions o1 = small_reduction();
     mor::LowRankPmorOptions o2 = small_reduction();
@@ -564,8 +490,7 @@ TEST(ModelCache, DiskGcEvictsOldestAndUpdatesManifest) {
     EXPECT_FALSE(std::filesystem::exists(cache.disk_path(k1)));
     EXPECT_TRUE(std::filesystem::exists(cache.disk_path(k2)));
     EXPECT_EQ(cache.telemetry().counter("disk_store.gc_removed"), 1);
-    EXPECT_EQ(cache.disk_store()->manifest_keys(),
-              std::vector<std::string>{k2.hex()});
+    EXPECT_EQ(rom_stems(copts.disk_dir), std::vector<std::string>{k2.hex()});
 
     // A GC-evicted key is a clean miss: it rebuilds (memory still holds it
     // here, so evict that tier first to prove the disk path).
@@ -651,26 +576,18 @@ TEST(ModelCache, TwoInstancesOneDiskConcurrentBuildsUnderFaultsStayCoherent) {
                              t < 4 ? ref1 : ref2);
     }
 
-    // No manifest divergence: both instances' view of the shared index
-    // equals the directory itself, and no in-flight temp files survive.
-    const std::vector<std::string> on_disk = rom_stems(copts.disk_dir);
-    EXPECT_EQ(on_disk.size(), 2u);
-    EXPECT_EQ(a.disk_store()->manifest_keys(), on_disk);
-    EXPECT_EQ(b.disk_store()->manifest_keys(), on_disk);
+    // The shared directory holds exactly the two keys' artifacts, and no
+    // in-flight temp files survive.
+    std::vector<std::string> want = {k1.hex(), k2.hex()};
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(rom_stems(copts.disk_dir), want);
     EXPECT_EQ(count_tmp_files(copts.disk_dir), 0);
     FaultInjector::instance().clear();
 }
 
-TEST(ModelCache, LookupProbesWithoutBuilding) {
-    const circuit::ParametricSystem sys = test_system();
-    const mor::LowRankPmorOptions ropts = small_reduction();
-    const CacheKey key = cache_key(sys, ropts);
-
+TEST(ModelCache, MemoryOnlyCacheHasNoDiskPath) {
     ModelCache cache;
-    EXPECT_EQ(cache.lookup(key), nullptr);
-    (void)cache.get_or_build(key, [&] { return mor::lowrank_pmor(sys, ropts).model; });
-    EXPECT_NE(cache.lookup(key), nullptr);
-    EXPECT_TRUE(cache.disk_path(key).empty());  // memory-only configuration
+    EXPECT_TRUE(cache.disk_path(cache_key(test_system(), small_reduction())).empty());
 }
 
 }  // namespace
