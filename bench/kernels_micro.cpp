@@ -20,6 +20,7 @@
 #include "circuit/mna.h"
 #include "mor/lowrank_pmor.h"
 #include "mor/prima.h"
+#include "reference_kernels.h"
 #include "sparse/assemble.h"
 #include "sparse/splu.h"
 #include "sparse/svd_iterative.h"

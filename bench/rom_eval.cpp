@@ -28,6 +28,7 @@
 #include "mor/reduced_model.h"
 #include "mor/rom_eval.h"
 #include "obs/export.h"
+#include "reference_kernels.h"
 #include "util/constants.h"
 #include "util/table.h"
 #include "util/thread_pool.h"

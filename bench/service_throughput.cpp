@@ -2,7 +2,7 @@
 // sweeps + transient delays + pole requests) served two ways on one session:
 //
 //   unbatched  every query alone, serially — fresh workspace, per-query
-//              stamp + Hessenberg preparation, per-query transient run
+//              stamp + lane preparation, per-query transient run
 //              (the pre-service behavior of a naive caller);
 //   batched    8 concurrent clients through StudyService futures — the
 //              QueryBatcher coalesces queries into RomEvalEngine groups and
@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
     const int q = session.study().cached_rom().size();
     std::printf("session open (cache miss, one reduction): %.1f ms; q = %d\n", ms_open, q);
     checks.expect(q >= mor::RomEvalEngine::kDirectPathOrder,
-                  "served ROM is large enough to exercise the Hessenberg path");
+                  "served ROM is a large model (q >= kDirectPathOrder)");
 
     // Mixed workload: 16 corners x 32 frequencies of transfer queries
     // (serving traffic is dominated by point evaluations of the warm model —
@@ -353,11 +353,11 @@ int main(int argc, char** argv) {
                   "serve-alone (observation never perturbs the numbers)");
 
     // ---- small-model, high-query-count variant. --------------------------
-    // q < kDirectPathOrder: a query is one fixed-size direct solve — cheap
-    // enough that per-query machinery (result channels, queue hops, lane
-    // scheduling) is a visible fraction of the round-trip. The slab channels
-    // and overlapped lanes must keep coalesced serving ahead of serve-alone
-    // even here.
+    // q < kDirectPathOrder on an RC net: a query is one O(q m) tridiagonal
+    // solve on the RC lane once its sample is prepared — cheap enough that
+    // per-query machinery (result channels, queue hops, lane scheduling) is
+    // a visible fraction of the round-trip. The slab channels and overlapped
+    // lanes must keep coalesced serving ahead of serve-alone even here.
     service::ModelCache small_cache;
     service::StudyServiceOptions small_opts = opts;
     small_opts.reduction = mor::LowRankPmorOptions{};
@@ -366,11 +366,16 @@ int main(int argc, char** argv) {
     small_opts.reduction.rank = 1;
     service::StudyService small_service(small_cache, small_opts);
     service::StudySession& small_session = small_service.open(sys);
-    const int q_small = small_session.study().cached_rom().size();
+    const mor::RomEvalEngine& small_engine = small_session.study().rom_engine();
+    const int q_small = small_engine.size();
+    mor::RomEvalWorkspace lane_ws;
+    small_engine.stamp_parameters(std::vector<double>(3, 0.0), lane_ws);
+    (void)small_engine.transfer(cplx(0.0, util::two_pi_f(1e9)), lane_ws);
     std::printf("small-model variant: q = %d\n", q_small);
-    checks.expect(q_small < mor::RomEvalEngine::kDirectPathOrder,
-                  "small-model variant actually serves on the direct lane "
-                  "(q < kDirectPathOrder)");
+    checks.expect(q_small < mor::RomEvalEngine::kDirectPathOrder &&
+                      lane_ws.lane() == mor::RomLane::rc,
+                  "small-model variant is small (q < kDirectPathOrder) and "
+                  "its engine serves it on the RC lane");
 
     // Transfer-dominated high-count workload: 64 corners x 24 frequencies,
     // poles on every fourth corner, no transients (their cost is the full

@@ -2,7 +2,8 @@
 
 /// Hessenberg kernels of the batched ROM evaluator, extracted from
 /// mor/rom_eval.cpp onto the simd layer so tests and micro-benchmarks can
-/// exercise them directly against the retained *_naive references below.
+/// exercise them directly against the *_naive references in
+/// tests/reference_kernels.h.
 
 #include <cmath>
 #include <utility>
@@ -218,98 +219,6 @@ inline void hessenberg_solve_t(ZMatrix& mt, ZMatrix& x) {
             cplx* xr = x.col_data(r);
             const cplx acc = simd::dot_n(n - j - 1, cj + j + 1, xr + j + 1);
             xr[j] = simd::div_s(xr[j] - acc, cj[j]);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Naive references: the plain-arithmetic implementations the kernels above
-// are tested and micro-benchmarked against (the matmul_naive convention).
-// Not used on hot paths.
-// ---------------------------------------------------------------------------
-
-inline void hessenberg_with_q_naive(Matrix& h, Matrix& q, std::vector<double>& v) {
-    const int n = h.rows();
-    if (q.rows() != n || q.cols() != n) q = Matrix(n, n);
-    q.fill(0.0);
-    for (int i = 0; i < n; ++i) q(i, i) = 1.0;
-    v.resize(static_cast<std::size_t>(n));
-    std::vector<double> w;
-
-    for (int k = 0; k + 2 < n; ++k) {
-        const int len = n - k - 1;
-        double* hk = h.col_data(k) + (k + 1);
-        double xnorm2 = 0.0;
-        for (int i = 0; i < len; ++i) xnorm2 += hk[i] * hk[i];
-        const double xnorm = std::sqrt(xnorm2);
-        if (xnorm == 0.0) continue;
-        const double alpha = hk[0] >= 0.0 ? -xnorm : xnorm;
-        v[0] = hk[0] - alpha;
-        for (int i = 1; i < len; ++i) v[static_cast<std::size_t>(i)] = hk[i];
-        double vnorm2 = 0.0;
-        for (int i = 0; i < len; ++i)
-            vnorm2 += v[static_cast<std::size_t>(i)] * v[static_cast<std::size_t>(i)];
-        if (vnorm2 == 0.0) continue;
-        const double beta = 2.0 / vnorm2;
-
-        hk[0] = alpha;
-        for (int i = 1; i < len; ++i) hk[i] = 0.0;
-
-        for (int j = k + 1; j < n; ++j) {
-            double* cj = h.col_data(j) + (k + 1);
-            double dot = 0.0;
-            for (int i = 0; i < len; ++i) dot += v[static_cast<std::size_t>(i)] * cj[i];
-            const double f = beta * dot;
-            if (f == 0.0) continue;
-            for (int i = 0; i < len; ++i) cj[i] -= f * v[static_cast<std::size_t>(i)];
-        }
-
-        auto right_apply = [&](Matrix& m) {
-            w.assign(static_cast<std::size_t>(n), 0.0);
-            for (int c = 0; c < len; ++c) {
-                const double vc = v[static_cast<std::size_t>(c)];
-                if (vc == 0.0) continue;
-                const double* col = m.col_data(k + 1 + c);
-                for (int i = 0; i < n; ++i) w[static_cast<std::size_t>(i)] += vc * col[i];
-            }
-            for (int c = 0; c < len; ++c) {
-                const double f = beta * v[static_cast<std::size_t>(c)];
-                if (f == 0.0) continue;
-                double* col = m.col_data(k + 1 + c);
-                for (int i = 0; i < n; ++i) col[i] -= f * w[static_cast<std::size_t>(i)];
-            }
-        };
-        right_apply(h);
-        right_apply(q);
-    }
-}
-
-inline void hessenberg_solve_naive(ZMatrix& m, ZMatrix& x) {
-    const int n = m.rows();
-    const int nrhs = x.cols();
-    for (int k = 0; k + 1 < n; ++k) {
-        if (std::abs(m(k + 1, k)) > std::abs(m(k, k))) {
-            for (int j = k; j < n; ++j) std::swap(m(k, j), m(k + 1, j));
-            for (int r = 0; r < nrhs; ++r) std::swap(x(k, r), x(k + 1, r));
-        }
-        check(std::abs(m(k, k)) > 0.0,
-              "hessenberg_solve: matrix is numerically singular");
-        const cplx mult = m(k + 1, k) / m(k, k);
-        if (mult != cplx{}) {
-            for (int j = k + 1; j < n; ++j) m(k + 1, j) -= mult * m(k, j);
-            for (int r = 0; r < nrhs; ++r) x(k + 1, r) -= mult * x(k, r);
-        }
-    }
-    check(std::abs(m(n - 1, n - 1)) > 0.0,
-          "hessenberg_solve: matrix is numerically singular");
-    for (int j = n - 1; j >= 0; --j) {
-        const cplx* cj = m.col_data(j);
-        for (int r = 0; r < nrhs; ++r) {
-            cplx* xr = x.col_data(r);
-            xr[j] /= cj[j];
-            const cplx xj = xr[j];
-            if (xj == cplx{}) continue;
-            for (int i = 0; i < j; ++i) xr[i] -= cj[i] * xj;
         }
     }
 }

@@ -258,7 +258,7 @@ void gemm_transA(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>& c) {
 
 }  // namespace detail
 
-/// A * B (blocked kernel; see matmul_naive for the reference triple loop).
+/// A * B (blocked kernel; tests/reference_kernels.h has the reference loop).
 template <class T>
 MatrixT<T> matmul(const MatrixT<T>& a, const MatrixT<T>& b) {
     check(a.cols() == b.rows(), "matmul: dimension mismatch");
@@ -280,50 +280,13 @@ void matmul_into(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>& c) {
     detail::gemm_acc(a, b, c);
 }
 
-/// Reference A * B: the unblocked triple loop the blocked kernel is tested
-/// against. Kept for tests and for reconstructing pre-blocking baselines in
-/// benches; not used on hot paths.
-template <class T>
-MatrixT<T> matmul_naive(const MatrixT<T>& a, const MatrixT<T>& b) {
-    check(a.cols() == b.rows(), "matmul_naive: dimension mismatch");
-    MatrixT<T> c(a.rows(), b.cols());
-    for (int j = 0; j < b.cols(); ++j) {
-        const T* bj = b.col_data(j);
-        T* cj = c.col_data(j);
-        for (int k = 0; k < a.cols(); ++k) {
-            const T bkj = bj[k];
-            if (bkj == T{}) continue;
-            const T* ak = a.col_data(k);
-            for (int i = 0; i < a.rows(); ++i) cj[i] += ak[i] * bkj;
-        }
-    }
-    return c;
-}
-
 /// A^T * B (plain transpose, the congruence-transform workhorse V^T G V).
-/// Blocked kernel; see matmul_transA_naive for the reference loop.
+/// Blocked kernel; tests/reference_kernels.h has the reference loop.
 template <class T>
 MatrixT<T> matmul_transA(const MatrixT<T>& a, const MatrixT<T>& b) {
     check(a.rows() == b.rows(), "matmul_transA: dimension mismatch");
     MatrixT<T> c(a.cols(), b.cols());
     detail::gemm_transA(a, b, c);
-    return c;
-}
-
-/// Reference A^T * B (unblocked dot products), kept for tests and baselines.
-template <class T>
-MatrixT<T> matmul_transA_naive(const MatrixT<T>& a, const MatrixT<T>& b) {
-    check(a.rows() == b.rows(), "matmul_transA_naive: dimension mismatch");
-    MatrixT<T> c(a.cols(), b.cols());
-    for (int j = 0; j < b.cols(); ++j) {
-        const T* bj = b.col_data(j);
-        for (int i = 0; i < a.cols(); ++i) {
-            const T* ai = a.col_data(i);
-            T acc{};
-            for (int r = 0; r < a.rows(); ++r) acc += ai[r] * bj[r];
-            c(i, j) = acc;
-        }
-    }
     return c;
 }
 

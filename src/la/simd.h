@@ -309,6 +309,39 @@ inline void fnma_n(int n, T a, const T* x, T* y) {
     for (; i < n; ++i) y[i] = fnmadd_s(a, x[i], y[i]);
 }
 
+/// z[i] -= a * x[i] + b * y[i]: fnma_n(a, x) then fnma_n(b, y) in one pass,
+/// bitwise the same per element. The symmetric rank-2 update's column step.
+inline void fnma2_n(int n, double a, const double* x, double b, const double* y,
+                    double* z) {
+    using P = Pack<double>;
+    const P av = P::broadcast(a), bv = P::broadcast(b);
+    int i = 0;
+    for (; i + P::lanes <= n; i += P::lanes)
+        fnmadd(bv, P::load(y + i), fnmadd(av, P::load(x + i), P::load(z + i))).store(z + i);
+    for (; i < n; ++i) z[i] = fnmadd_s(b, y[i], fnmadd_s(a, x[i], z[i]));
+}
+
+/// y[i] += a * x[i] (fused) and returns sum_i x[i] * v[i] in the dot1_n
+/// order, in one pass over x: one column of a symmetric matrix-vector
+/// product stored by its lower triangle.
+inline double axpy_dot_n(int n, double a, const double* x, const double* v, double* y) {
+    using P = Pack<double>;
+    const P av = P::broadcast(a);
+    P acc = P::zero();
+    int i = 0;
+    for (; i + P::lanes <= n; i += P::lanes) {
+        const P xv = P::load(x + i);
+        fmadd(av, xv, P::load(y + i)).store(y + i);
+        acc = fmadd(xv, P::load(v + i), acc);
+    }
+    double total = hsum(acc);
+    for (; i < n; ++i) {
+        y[i] = fmadd_s(a, x[i], y[i]);
+        total = fmadd_s(x[i], v[i], total);
+    }
+    return total;
+}
+
 /// sum_i x[i] * y[i] in the ONE-accumulator reduction order: one vector
 /// chain, hsum, scalar tail. This is the per-entry order of the
 /// gemm_transA register tile — its edge and remainder entries reduce through
@@ -357,6 +390,24 @@ inline T dot_n(int n, const T* x, const T* y) {
     T total = hsum(add(add(a0, a2), add(a1, a3)));
     for (; i < n; ++i) total = fmadd_s(x[i], y[i], total);
     return total;
+}
+
+/// Plane rotation of two real vectors: (x[i], y[i]) <- (c x[i] - s y[i],
+/// s x[i] + c y[i]), every product rounded separately on both arms.
+inline void rot_n(int n, double c, double s, double* x, double* y) {
+    using P = Pack<double>;
+    const P cv = P::broadcast(c), sv = P::broadcast(s);
+    int i = 0;
+    for (; i + P::lanes <= n; i += P::lanes) {
+        const P xv = P::load(x + i), yv = P::load(y + i);
+        sub(mul(cv, xv), mul(sv, yv)).store(x + i);
+        add(mul(sv, xv), mul(cv, yv)).store(y + i);
+    }
+    for (; i < n; ++i) {
+        const double xi = x[i], yi = y[i];
+        x[i] = c * xi - s * yi;
+        y[i] = s * xi + c * yi;
+    }
 }
 
 /// x[i] *= a.

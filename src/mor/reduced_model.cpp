@@ -1,9 +1,5 @@
 #include "mor/reduced_model.h"
 
-#include <algorithm>
-
-#include "la/eig.h"
-#include "la/lu_dense.h"
 #include "la/ops.h"
 #include "la/simd.h"
 #include "mor/rom_eval.h"
@@ -21,8 +17,7 @@ Matrix affine(const Matrix& base, const std::vector<Matrix>& terms,
               const std::vector<double>& p) {
     check(p.size() == terms.size(), "ReducedModel: parameter vector length mismatch");
     // Same accumulation kernel (simd::axpy_n) and zero-parameter skip as the
-    // engine's stamp_affine — the poles() bit-identity contract between
-    // ReducedModel and RomEvalEngine rests on it.
+    // engine's stamp_affine, so g_at/c_at are bitwise the engine's stamps.
     Matrix acc = base;
     for (std::size_t i = 0; i < terms.size(); ++i) {
         if (p[i] == 0.0) continue;
@@ -62,20 +57,11 @@ ZMatrix ReducedModel::transfer_sensitivity(cplx s, const std::vector<double>& p,
 }
 
 std::vector<cplx> ReducedModel::poles(const std::vector<double>& p) const {
-    // mu-eigenvalues of A = -G^-1 C; finite poles are s = -1/mu, mu != 0.
-    const Matrix g = g_at(p);
-    const Matrix c = c_at(p);
-    const Matrix a = la::DenseLu<double>(g).solve(c);  // G^-1 C (sign folded below)
-    std::vector<cplx> mus = la::eig_values(a);
-    std::vector<cplx> poles;
-    const double cutoff = 1e-14 * (1.0 + la::norm_fro(a));
-    for (const cplx& mu : mus) {
-        if (std::abs(mu) <= cutoff) continue;  // pole at infinity
-        poles.push_back(-1.0 / mu);            // s = -1/mu with mu from +G^-1 C
-    }
-    std::sort(poles.begin(), poles.end(),
-              [](cplx x, cplx y) { return std::abs(x) < std::abs(y); });
-    return poles;
+    // Batch-of-one on the engine (see transfer() above).
+    RomEvalEngine engine(*this);
+    RomEvalWorkspace ws;
+    engine.stamp_parameters(p, ws);
+    return engine.poles(ws);
 }
 
 ReducedModel project(const circuit::ParametricSystem& sys, const Matrix& v) {

@@ -39,9 +39,8 @@ struct ReducedModel {
     /// drivers (MC studies, sweeps) should evaluate through RomEvalEngine
     /// (mor/rom_eval.h), which shares these exact kernels — engine results
     /// are bit-identical to a loop of transfer() calls — but amortizes the
-    /// parameter stamping per sample and reuses all scratch. Below
-    /// RomEvalEngine::kDirectPathOrder the call takes the direct dense-
-    /// pencil fast lane and pays no per-sample Hessenberg preparation.
+    /// parameter stamping and the per-sample preparation of its lane, and
+    /// reuses all scratch.
     la::ZMatrix transfer(la::cplx s, const std::vector<double>& p) const;
 
     /// Analytic parameter sensitivity of the transfer function,
@@ -54,7 +53,9 @@ struct ReducedModel {
 
     /// All finite poles of the pencil (G~(p), C~(p)): the values s where
     /// G~ + s C~ is singular, i.e. s = -1/mu for nonzero eigenvalues mu of
-    /// A~ = -G~^-1 C~. Sorted by increasing |s| (most dominant first).
+    /// G~^-1 C~. Sorted by increasing |s| (most dominant first). A batch of
+    /// one on RomEvalEngine::poles, so RC models get real poles from the
+    /// symmetric tridiagonal lane.
     std::vector<la::cplx> poles(const std::vector<double>& p) const;
 };
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "la/eig.h"
+#include "la/eig_sym.h"
 #include "la/hessenberg.h"
 #include "la/ops.h"
 #include "la/simd.h"
@@ -20,6 +21,14 @@ using la::Matrix;
 using la::ZMatrix;
 
 namespace {
+
+/// Largest relative asymmetry max|A - A^T| / max|A| of a G~/C~ term that
+/// still admits the RC lane.
+constexpr double kRcSymmetryTol = 1e-12;
+
+/// An RC sample keeps its lane while every eigenvalue of Tri is at least
+/// -kRcSemidefiniteTol * ||Tri||_1.
+constexpr double kRcSemidefiniteTol = 1e-10;
 
 /// Packs base + sensitivity matrices into one contiguous buffer of
 /// (1 + num_params) blocks of q*q values (column-major within each block).
@@ -39,8 +48,7 @@ std::vector<double> pack_terms(const Matrix& base, const std::vector<Matrix>& te
 
 /// out = block0 + sum_i p_i * block_{i+1}, same accumulation kernel (and the
 /// same skip of exact-zero parameters) as ReducedModel::g_at/c_at — both run
-/// simd::axpy_n per term, which keeps the engine's poles() bit-identical to
-/// ReducedModel::poles().
+/// simd::axpy_n per term.
 void stamp_affine(const std::vector<double>& packed, const std::vector<double>& p,
                   int q, Matrix& out) {
     const std::size_t block = static_cast<std::size_t>(q) * static_cast<std::size_t>(q);
@@ -110,6 +118,108 @@ void stamp_hessenberg_pencil(int q, cplx s, const Matrix& ht, ZMatrix& ms) {
     }
 }
 
+/// max_ij |a(i,j) - a(j,i)| <= tol * max_ij |a(i,j)| for a q x q block.
+bool symmetric_within(const double* a, int q, double tol) {
+    double amax = 0.0, asym = 0.0;
+    for (int j = 0; j < q; ++j) {
+        for (int i = 0; i < q; ++i) {
+            const double aij = a[i + static_cast<std::size_t>(j) * q];
+            amax = std::max(amax, std::abs(aij));
+            if (i < j)
+                asym = std::max(asym, std::abs(aij - a[j + static_cast<std::size_t>(i) * q]));
+        }
+    }
+    return asym <= tol * amax;
+}
+
+/// Every packed term symmetric within `tol` of its largest entry.
+bool terms_symmetric(const std::vector<double>& packed, int q, double tol) {
+    const std::size_t block = static_cast<std::size_t>(q) * static_cast<std::size_t>(q);
+    for (std::size_t off = 0; off < packed.size(); off += block)
+        if (!symmetric_within(packed.data() + off, q, tol)) return false;
+    return true;
+}
+
+/// True when every eigenvalue of the symmetric tridiagonal (d, e) exceeds
+/// -shift: all pivots of the LDL^T of Tri + shift I are positive (Sylvester's
+/// law of inertia). O(q).
+bool tridiagonal_above(const std::vector<double>& d, const std::vector<double>& e,
+                       double shift) {
+    double piv = d[0] + shift;
+    if (!(piv > 0.0)) return false;
+    for (std::size_t i = 1; i < d.size(); ++i) {
+        piv = d[i] + shift - e[i - 1] * (e[i - 1] / piv);
+        if (!(piv > 0.0)) return false;
+    }
+    return true;
+}
+
+/// 1 / z by one real division. Every pivot D_i of I + s Tri on the RC lane
+/// has Re D_i >= 1 (the real part of the matrix is the identity plus a
+/// semidefinite term), so |z|^2 neither underflows nor overflows.
+la::cplx recip(la::cplx z) {
+    const double inv = 1.0 / la::simd::fmadd_s(z.real(), z.real(), z.imag() * z.imag());
+    return {z.real() * inv, -z.imag() * inv};
+}
+
+/// One frequency on the RC lane: H = Y^T (I + s Tri)^-1 Y (m x m). I + s Tri
+/// is complex symmetric tridiagonal (diagonal 1 + s d_i, off-diagonal
+/// s e_i); it is factored as L D L^T without pivoting, which is safe here:
+/// with Re s >= 0 and Tri semidefinite, its real part is positive definite
+/// and its imaginary part semidefinite, the class whose growth factor
+/// Higham (Math. Comp. 1998) bounds by a small constant. The factorization
+/// and the m forward substitutions share one pass; the back substitutions
+/// accumulate H. O(q m) per point.
+ZMatrix rc_point(cplx s, int q, int m, RomEvalWorkspace& ws) {
+    using la::simd::fmadd_s;
+    using la::simd::fnmadd_s;
+    using la::simd::mul_s;
+    const std::size_t uq = static_cast<std::size_t>(q);
+    ws.tpiv.resize(uq);
+    ws.tmul.resize(uq);
+    ws.tx.resize(uq * static_cast<std::size_t>(m));
+    const double* d = ws.td.data();
+    const double* e = ws.te.data();
+    cplx* piv = ws.tpiv.data();
+    cplx* mul = ws.tmul.data();
+    cplx* x = ws.tx.data();
+    const double sr = s.real(), si = s.imag();
+
+    // D_0 = 1 + s d_0; l_i = s e_{i-1} / D_{i-1}; D_i = 1 + s d_i - l_i s e_{i-1};
+    // forward: z_i = y_i - l_i z_{i-1}.
+    cplx dinv = recip({fmadd_s(sr, d[0], 1.0), si * d[0]});
+    piv[0] = dinv;
+    for (int b = 0; b < m; ++b) x[static_cast<std::size_t>(b) * uq] = ws.ty(0, b);
+    for (int i = 1; i < q; ++i) {
+        const cplx off(sr * e[i - 1], si * e[i - 1]);
+        const cplx li = mul_s(off, dinv);
+        dinv = recip(fnmadd_s(li, off, {fmadd_s(sr, d[i], 1.0), si * d[i]}));
+        piv[i] = dinv;
+        mul[i] = li;
+        for (int b = 0; b < m; ++b) {
+            cplx* xb = x + static_cast<std::size_t>(b) * uq;
+            xb[i] = fnmadd_s(li, xb[i - 1], cplx(ws.ty(i, b), 0.0));
+        }
+    }
+    // Back: x_i = z_i / D_i - l_{i+1} x_{i+1}; H(a, b) = sum_i Y(i, a) x_i.
+    ZMatrix h(m, m);
+    for (int b = 0; b < m; ++b) {
+        cplx* xb = x + static_cast<std::size_t>(b) * uq;
+        cplx* hb = h.col_data(b);
+        cplx xi = mul_s(xb[q - 1], piv[q - 1]);
+        for (int i = q - 1;; --i) {
+            for (int a = 0; a < m; ++a) {
+                const double ya = ws.ty(i, a);
+                hb[a] = {fmadd_s(ya, xi.real(), hb[a].real()),
+                         fmadd_s(ya, xi.imag(), hb[a].imag())};
+            }
+            if (i == 0) break;
+            xi = fnmadd_s(mul[i], xi, mul_s(xb[i - 1], piv[i - 1]));
+        }
+    }
+    return h;
+}
+
 }  // namespace
 
 RomEvalEngine::RomEvalEngine(const ReducedModel& model)
@@ -128,6 +238,11 @@ RomEvalEngine::RomEvalEngine(const ReducedModel& model)
     l_ = model.l;
     bz_ = la::to_complex(model.b);
     lzt_ = la::transpose(la::to_complex(model.l));
+    // B~ == L~ is exact for MNA models (project computes both from one port
+    // matrix with one kernel), so it is tested bitwise.
+    rc_ = model.b.cols() == model.l.cols() && model.b.raw() == model.l.raw() &&
+          terms_symmetric(g_terms_, q_, kRcSymmetryTol) &&
+          terms_symmetric(c_terms_, q_, kRcSymmetryTol);
 }
 
 void RomEvalEngine::stamp_parameters(const std::vector<double>& p,
@@ -137,19 +252,51 @@ void RomEvalEngine::stamp_parameters(const std::vector<double>& p,
     stamp_affine(g_terms_, p, q_, ws.gp);
     stamp_affine(c_terms_, p, q_, ws.cp);
     ws.stamped = true;
-    ws.transfer_ready = false;
+    ws.lane_ = RomLane::unprepared;
+    ws.general_ = RomLane::unprepared;
     ws.sens_ready = false;
 }
 
-void RomEvalEngine::prepare_transfer(RomEvalWorkspace& ws) const {
+void RomEvalEngine::prepare_lane(RomEvalWorkspace& ws) const {
+    if (rc_) {
+        if (prepare_rc(ws)) {
+            ws.lane_ = RomLane::rc;
+            return;
+        }
+        static obs::Counter& fallbacks =
+            obs::Registry::global().counter("rom_eval.rc_fallbacks");
+        fallbacks.add();
+    }
+    if (ws.general_ == RomLane::unprepared) prepare_general(ws);
+    ws.lane_ = ws.general_;
+}
+
+bool RomEvalEngine::prepare_rc(RomEvalWorkspace& ws) const {
+    // G~ = L L^T; a failed pivot means G~(p) is not positive definite, so the
+    // ROM is not passive at this p.
+    ws.lg = ws.gp;
+    if (!la::cholesky_lower(ws.lg)) return false;
+    // T = L^-1 C~ L^-T, then Tri = Q^T T Q with Y = Q^T L^-1 B~ carried along.
+    ws.tc = ws.cp;
+    la::reduce_to_standard(ws.tc, ws.lg);
+    ws.ty = b_;
+    la::forward_substitute(ws.lg, ws.ty);
+    la::tridiagonalize(ws.tc, ws.td, ws.te, &ws.ty, ws.hv);
+    double norm = 0.0;  // ||Tri||_1
+    for (std::size_t i = 0; i < ws.td.size(); ++i)
+        norm = std::max(norm, std::abs(ws.td[i]) + (i > 0 ? std::abs(ws.te[i - 1]) : 0.0) +
+                                  (i < ws.te.size() ? std::abs(ws.te[i]) : 0.0));
+    return norm == 0.0 || tridiagonal_above(ws.td, ws.te, kRcSemidefiniteTol * norm);
+}
+
+void RomEvalEngine::prepare_general(RomEvalWorkspace& ws) const {
     // Small-q fast lane: below kDirectPathOrder the direct dense-pencil
     // kernel beats the Hessenberg split per frequency AND skips the O(q^3)
     // per-sample preparation — the one-shot ReducedModel::transfer() path
     // stops paying for machinery it never amortizes. The threshold depends
     // only on q, so grids and loops take the same branch.
     if (q_ < kDirectPathOrder) {
-        ws.direct_path = true;
-        ws.transfer_ready = true;
+        ws.general_ = RomLane::direct;
         return;
     }
     // Per-sample stage, all real arithmetic: factor G~(p), form
@@ -165,10 +312,8 @@ void RomEvalEngine::prepare_transfer(RomEvalWorkspace& ws) const {
     // same branch and stay bit-identical.
     try {
         ws.glu.factor(ws.gp);
-        ws.direct_path = false;
     } catch (const Error&) {
-        ws.direct_path = true;
-        ws.transfer_ready = true;
+        ws.general_ = RomLane::direct;
         return;
     }
     if (ws.hh.rows() != q_ || ws.hh.cols() != q_) ws.hh = Matrix(q_, q_);
@@ -190,35 +335,38 @@ void RomEvalEngine::prepare_transfer(RomEvalWorkspace& ws) const {
     ws.glu.solve_inplace(r0);                    // G^-1 B
     ws.rh = la::matmul_transA(ws.qh, r0);        // Q^T G^-1 B
     ws.lqz = la::to_complex(la::matmul_transA(l_, ws.qh));  // L^T Q
-    ws.transfer_ready = true;
+    ws.general_ = RomLane::hessenberg;
+}
+
+ZMatrix RomEvalEngine::direct_transfer(cplx s, RomEvalWorkspace& ws) const {
+    // The direct kernel (small-q fast lane, singular-G~ fallback and the
+    // RC lane's points with Re s < 0): factor the complex pencil at this
+    // frequency. Up to kSmallLuMaxSize the identity-padded fixed-size kernels
+    // run the same arithmetic fully unrolled; the generic workspace LU serves
+    // larger q. Both stamp through simd::pencil_stamp_n and eliminate with
+    // the same per-element semantics, so the lanes agree bitwise.
+    const bool fixed = la::small_lu_dispatch(q_, [&](auto n) {
+        small_direct_solve<decltype(n)::value>(q_, m_, s, ws.gp, ws.cp, bz_, ws);
+    });
+    if (!fixed) {
+        ZMatrix& k = ws.klu.stamp(q_);
+        la::simd::pencil_stamp_n(q_ * q_, s, ws.gp.raw().data(), ws.cp.raw().data(),
+                                 k.raw().data());
+        ws.klu.factor_stamped();
+        if (ws.x.rows() != q_ || ws.x.cols() != m_) ws.x = ZMatrix(q_, m_);
+        ws.x.raw() = bz_.raw();
+        ws.klu.solve_inplace(ws.x);
+    }
+    return la::matmul(lzt_, ws.x);
 }
 
 ZMatrix RomEvalEngine::transfer(cplx s, RomEvalWorkspace& ws) const {
     check(ws.stamped, "RomEvalEngine::transfer: stamp_parameters first");
-    if (!ws.transfer_ready) prepare_transfer(ws);
+    if (ws.lane_ == RomLane::unprepared) prepare_lane(ws);
 
-    if (ws.direct_path) {
-        // The direct kernel (small-q fast lane and singular-G~ fallback):
-        // factor the complex pencil at this frequency. Below
-        // kDirectPathOrder the identity-padded fixed-size kernels run the
-        // same arithmetic fully unrolled; the generic workspace LU serves
-        // the singular-G~ fallback at q >= kDirectPathOrder. Both stamp
-        // through simd::pencil_stamp_n and eliminate with the same
-        // per-element semantics, so the lanes agree bitwise.
-        const bool fixed = la::small_lu_dispatch(q_, [&](auto n) {
-            small_direct_solve<decltype(n)::value>(q_, m_, s, ws.gp, ws.cp, bz_, ws);
-        });
-        if (!fixed) {
-            ZMatrix& k = ws.klu.stamp(q_);
-            la::simd::pencil_stamp_n(q_ * q_, s, ws.gp.raw().data(),
-                                     ws.cp.raw().data(), k.raw().data());
-            ws.klu.factor_stamped();
-            if (ws.x.rows() != q_ || ws.x.cols() != m_) ws.x = ZMatrix(q_, m_);
-            ws.x.raw() = bz_.raw();
-            ws.klu.solve_inplace(ws.x);
-        }
-        return la::matmul(lzt_, ws.x);
-    }
+    if (ws.lane_ == RomLane::rc)
+        return s.real() >= 0.0 ? rc_point(s, q_, m_, ws) : direct_transfer(s, ws);
+    if (ws.lane_ == RomLane::direct) return direct_transfer(s, ws);
 
     // Per-frequency stage: K^-1 B~ = Q (I + sH)^-1 Q^T G~^-1 B~, one complex
     // Hessenberg solve in transposed storage.
@@ -235,7 +383,7 @@ ZMatrix RomEvalEngine::transfer_sensitivity(cplx s, int param,
     check(ws.stamped, "RomEvalEngine::transfer_sensitivity: stamp_parameters first");
     check(param >= 0 && param < np_,
           "RomEvalEngine::transfer_sensitivity: parameter index out of range");
-    if (!ws.transfer_ready) prepare_transfer(ws);
+    if (ws.general_ == RomLane::unprepared) prepare_general(ws);
 
     // dK = G~_i + s C~_i from the packed terms (both lanes stamp it the
     // same way).
@@ -245,7 +393,7 @@ ZMatrix RomEvalEngine::transfer_sensitivity(cplx s, int param,
     const double* dc = c_terms_.data() + block * static_cast<std::size_t>(param + 1);
     la::simd::pencil_stamp_n(static_cast<int>(block), s, dg, dc, ws.dk.raw().data());
 
-    if (ws.direct_path) {
+    if (ws.general_ == RomLane::direct) {
         // Direct lane (small q, or singular G~(p)): factor K = G~ + sC~ once
         // into the workspace and apply it twice.
         ZMatrix& k = ws.klu.stamp(q_);
@@ -306,18 +454,33 @@ ZMatrix RomEvalEngine::transfer_sensitivity(cplx s, int param,
 
 std::vector<cplx> RomEvalEngine::poles(RomEvalWorkspace& ws) const {
     check(ws.stamped, "RomEvalEngine::poles: stamp_parameters first");
-    // mu-eigenvalues of A = -G^-1 C; finite poles are s = -1/mu, mu != 0 —
-    // the same computation (and cutoff) as ReducedModel::poles().
-    ws.glu.factor(ws.gp);
-    if (ws.ac.rows() != q_ || ws.ac.cols() != q_) ws.ac = Matrix(q_, q_);
-    ws.ac.raw() = ws.cp.raw();
-    ws.glu.solve_inplace(ws.ac);  // G^-1 C (sign folded below)
-    std::vector<cplx> mus = la::eig_values(ws.ac);
+    if (rc_ && ws.lane_ == RomLane::unprepared) prepare_lane(ws);
     std::vector<cplx> poles;
-    const double cutoff = 1e-14 * (1.0 + la::norm_fro(ws.ac));
-    for (const cplx& mu : mus) {
-        if (std::abs(mu) <= cutoff) continue;  // pole at infinity
-        poles.push_back(-1.0 / mu);            // s = -1/mu with mu from +G^-1 C
+    if (ws.lane_ == RomLane::rc) {
+        // Eigenvalues lambda of Tri (the pencil's mu = eigenvalues of
+        // G~^-1 C~); finite poles are s = -1/lambda, real.
+        std::vector<double> lambdas = ws.td, sub = ws.te;
+        la::tridiagonal_ql(lambdas, sub, nullptr);
+        double fro2 = 0.0;  // ||Tri||_F^2
+        for (double v : ws.td) fro2 += v * v;
+        for (double v : ws.te) fro2 += 2.0 * v * v;
+        const double cutoff = 1e-14 * (1.0 + std::sqrt(fro2));
+        for (double lambda : lambdas) {
+            if (std::abs(lambda) <= cutoff) continue;  // pole at infinity
+            poles.emplace_back(-1.0 / lambda, 0.0);
+        }
+    } else {
+        // mu-eigenvalues of A = -G^-1 C; finite poles are s = -1/mu, mu != 0.
+        ws.glu.factor(ws.gp);
+        if (ws.ac.rows() != q_ || ws.ac.cols() != q_) ws.ac = Matrix(q_, q_);
+        ws.ac.raw() = ws.cp.raw();
+        ws.glu.solve_inplace(ws.ac);  // G^-1 C (sign folded below)
+        const std::vector<cplx> mus = la::eig_values(ws.ac);
+        const double cutoff = 1e-14 * (1.0 + la::norm_fro(ws.ac));
+        for (const cplx& mu : mus) {
+            if (std::abs(mu) <= cutoff) continue;  // pole at infinity
+            poles.push_back(-1.0 / mu);            // s = -1/mu with mu from +G^-1 C
+        }
     }
     std::sort(poles.begin(), poles.end(),
               [](cplx x, cplx y) { return std::abs(x) < std::abs(y); });

@@ -9,18 +9,36 @@
 
 namespace varmor::mor {
 
+/// The lane RomEvalEngine::transfer() takes for a stamped sample.
+enum class RomLane {
+    unprepared,  ///< the stamped sample has no lane prepared yet
+    rc,          ///< symmetric tridiagonal form of an RC model
+    hessenberg,  ///< Hessenberg form of G~^-1 C~
+    direct,      ///< dense pencil factorization per frequency
+};
+
 /// Per-worker scratch for RomEvalEngine: the accumulated parameter matrices,
-/// the per-sample Hessenberg data of the transfer path, the dense LU
-/// workspaces and the per-frequency solve targets. All storage is reused
-/// across (sample, frequency) points — after warm-up a frequency evaluation
-/// performs no allocation beyond its returned m x m result. One instance per
-/// thread in the batch drivers; not shared.
+/// the per-sample data of each lane, the dense LU workspaces and the
+/// per-frequency solve targets. All storage is reused across (sample,
+/// frequency) points — after warm-up a frequency evaluation performs no
+/// allocation beyond its returned m x m result. One instance per thread in
+/// the batch drivers; not shared.
 struct RomEvalWorkspace {
     la::Matrix gp;                      ///< G~(p) of the stamped sample
     la::Matrix cp;                      ///< C~(p) of the stamped sample
     la::DenseLuWorkspace<double> glu;   ///< factorization of G~(p)
     la::DenseLuWorkspace<la::cplx> klu; ///< direct pencil factorization (sensitivities)
-    // Per-sample transfer data (prepared lazily on the first frequency).
+    // Per-sample RC-lane data (prepared lazily on the first transfer/poles).
+    la::Matrix lg;   ///< Cholesky factor L of G~(p), lower triangle (q x q)
+    la::Matrix tc;   ///< L^-1 C~ L^-T, destroyed by the tridiagonalization
+    la::Matrix ty;   ///< Y = Q^T L^-1 B~                           (q x m)
+    std::vector<double> td;   ///< diagonal of Tri = Q^T (L^-1 C~ L^-T) Q
+    std::vector<double> te;   ///< subdiagonal of Tri
+    // Per-frequency RC-lane targets: I + s Tri = L D L^T, unit bidiagonal L.
+    std::vector<la::cplx> tpiv;  ///< 1 / D_i
+    std::vector<la::cplx> tmul;  ///< subdiagonal l_i of L
+    std::vector<la::cplx> tx;    ///< solve targets, q x m column-major
+    // Per-sample transfer data of the Hessenberg lane.
     la::Matrix hh;   ///< H = Q^T (G^-1 C) Q, upper Hessenberg (q x q)
     la::Matrix ht;   ///< H^T — row j of H contiguous, for the stamped solve
     la::Matrix qh;   ///< accumulated orthogonal Q                (q x q)
@@ -46,51 +64,71 @@ struct RomEvalWorkspace {
     std::vector<la::cplx> xpad;  ///< padded solve target, N x m
     std::vector<int> kperm;      ///< padded row permutation
     bool stamped = false;        ///< gp/cp hold a valid sample
-    bool transfer_ready = false; ///< hh/qh/rh/lqz match the stamped sample
     bool sens_ready = false;     ///< qz/qtz match the stamped sample
-    /// transfer() uses the direct dense-pencil kernel instead of the
-    /// Hessenberg split — either because the model is small (q below
-    /// RomEvalEngine::kDirectPathOrder, where the per-sample Hessenberg
-    /// preparation costs more than it saves) or because G~(p) is singular at
-    /// this sample. Both the small-q fast lane and the singular-G fallback
-    /// route through the SAME kernel, and the choice depends only on (q, the
-    /// stamped values), so looped and batched evaluation agree bitwise.
-    bool direct_path = false;
+
+    /// The lane transfer() takes for the stamped sample: RomLane::unprepared
+    /// until the sample's first transfer() (or, on an RC model, poles())
+    /// prepares it. A report only: it cannot be set from outside.
+    RomLane lane() const { return lane_; }
+
+private:
+    friend class RomEvalEngine;
+    RomLane lane_ = RomLane::unprepared;     ///< transfer()'s lane
+    RomLane general_ = RomLane::unprepared;  ///< hessenberg/direct data prepared
 };
 
 /// Batched evaluator of a fixed ReducedModel — the reduced-side counterpart
 /// of the sparse batched solve engine (README "performance architecture").
 ///
 /// Construction packs the affine family { G~0, G~i } / { C~0, C~i } into two
-/// contiguous buffers and promotes B~ / L~^T to complex once. Evaluation
-/// splits per-point work by what it depends on:
+/// contiguous buffers, promotes B~ / L~^T to complex once, and picks the
+/// model's lane family once: a model whose every G~/C~ term is symmetric
+/// (within 1e-12 of its largest entry; RC models from congruence measure
+/// below 1e-15, RLC models about 2) and whose B~ equals L~ bitwise (every
+/// MNA RC model, since congruence keeps G~(p) SPD and C~(p) semidefinite)
+/// takes the RC lane; every other model (RLC) takes the general lanes.
+/// Evaluation splits per-point work by what it depends on:
 ///
 ///   per SAMPLE   stamp_parameters(p): G~(p), C~(p) by one pass over the
-///                packed terms; the first transfer() then factors G~(p),
-///                forms A = G~^-1 C~ and reduces it to upper Hessenberg
-///                H = Q^T A Q (Householder, accumulated Q) — all real
-///                arithmetic, O(q^3), paid once per sample;
-///   per FREQUENCY transfer(s): K^-1 B~ = Q (I + sH)^-1 Q^T G~^-1 B~, so a
-///                frequency point is one complex HESSENBERG solve — O(q^2)
-///                instead of the O(q^3) dense LU of the naive path — on
-///                reusable workspaces with blocked kernels.
+///                packed terms. The first transfer()/poles() then prepares
+///                the sample's lane, once:
+///     RC         G~ = L L^T, T = L^-1 C~ L^-T reduced by Householder
+///                reflectors to tridiagonal Tri = Q^T T Q, with
+///                Y = Q^T L^-1 B~ carried along (about 3.7 q^3 flops);
+///     Hessenberg factor G~, form A = G~^-1 C~ and reduce it to upper
+///                Hessenberg H = Q^T A Q (accumulated Q, about 7.3 q^3);
+///     direct     nothing (q < kDirectPathOrder, or G~(p) singular).
+///   per FREQUENCY transfer(s):
+///     RC         H = Y^T (I + s Tri)^-1 Y by one complex-symmetric
+///                tridiagonal LDL^T without pivoting — O(q m);
+///     Hessenberg K^-1 B~ = Q (I + sH)^-1 Q^T G~^-1 B~, one complex
+///                Hessenberg solve — O(q^2 m);
+///     direct     one dense LU of the pencil G~ + sC~ — O(q^3).
 ///
-/// ReducedModel::transfer() routes through this engine as a batch of one, so
-/// there is ONE transfer code path and batched grids are bit-identical to a
-/// serial loop of transfer() calls at any thread count.
+/// An RC sample leaves the RC lane for the general ones (counted in
+/// `rom_eval.rc_fallbacks`) when G~(p) is not positive definite or Tri has
+/// an eigenvalue below -1e-10 ||Tri||_1 (a semidefinite C~(p) up to the
+/// rounding of forming and reducing L^-1 C~ L^-T): the ROM is not passive
+/// at that p, and the unpivoted LDL^T has no growth bound there. A point
+/// with Re s < 0 on the RC lane runs the direct kernel for the same reason.
+/// Every choice is a pure function of the model and the stamped values.
+///
+/// ReducedModel::transfer() and poles() route through this engine as a batch
+/// of one, so there is ONE code path per lane and batched grids are
+/// bit-identical to a serial loop of transfer() calls at any thread count.
 class RomEvalEngine {
 public:
-    /// Reduced orders below this evaluate transfer() through the direct
-    /// dense-pencil kernel (one O(q^3) factorization per frequency) instead
-    /// of the Hessenberg split: at q ~ 20 the O(q^3)-per-sample Hessenberg
-    /// preparation stops paying for itself, and one-shot single-frequency
-    /// calls (ReducedModel::transfer, the engine's batch-of-one) skip the
-    /// preparation entirely. Both paths share one kernel, so batch grids
-    /// stay bit-identical to looped calls on either side of the threshold.
-    /// Trade-off: a many-frequency grid on a q just under the threshold
-    /// pays O(q^3) per point where the Hessenberg path would pay O(q^2) —
-    /// bounded by the tiny absolute cost at q < 20, and required to keep
-    /// the branch a function of q alone (the bit-identity contract).
+    /// On the general lanes, reduced orders below this evaluate transfer()
+    /// through the direct dense-pencil kernel (one O(q^3) factorization per
+    /// frequency) instead of the Hessenberg split: at q ~ 20 the
+    /// O(q^3)-per-sample Hessenberg preparation stops paying for itself, and
+    /// one-shot single-frequency calls skip the preparation entirely. Both
+    /// paths share one kernel, so batch grids stay bit-identical to looped
+    /// calls on either side of the threshold. Trade-off: a many-frequency
+    /// grid on a q just under the threshold pays O(q^3) per point where the
+    /// Hessenberg path would pay O(q^2) — bounded by the tiny absolute cost
+    /// at q < 20, and required to keep the branch a function of q alone (the
+    /// bit-identity contract). The RC lane applies at every q.
     static constexpr int kDirectPathOrder = 20;
 
     explicit RomEvalEngine(const ReducedModel& model);
@@ -104,13 +142,14 @@ public:
     /// stamped workspace serves any number of frequency points.
     void stamp_parameters(const std::vector<double>& p, RomEvalWorkspace& ws) const;
 
-    /// H(s, p) = L~^T K^-1 B~ for the stamped sample (m x m), via the
-    /// per-sample Hessenberg form (prepared on the first call per sample).
+    /// H(s, p) = L~^T K^-1 B~ for the stamped sample (m x m), on the
+    /// sample's lane (prepared on the first call per sample).
     la::ZMatrix transfer(la::cplx s, RomEvalWorkspace& ws) const;
 
     /// dH/dp_i = -L~^T K^-1 (G~_i + s C~_i) K^-1 B~ for the stamped sample
-    /// (m x m). Routed through the SAME per-sample Hessenberg form as
-    /// transfer(): with K^-1 = Q (I + sH)^-1 Q^T G~^-1, a sensitivity point
+    /// (m x m), always on the general lanes (an RC sample prepares their
+    /// data on its first sensitivity call). With the per-sample Hessenberg
+    /// form, K^-1 = Q (I + sH)^-1 Q^T G~^-1, so a sensitivity point
     /// is two O(q^2) Hessenberg solves plus one real G~ substitution — no
     /// per-frequency complex factorization, so grids of sensitivities
     /// amortize the O(q^3) preparation exactly like transfer grids do. The
@@ -120,13 +159,17 @@ public:
     la::ZMatrix transfer_sensitivity(la::cplx s, int param, RomEvalWorkspace& ws) const;
 
     /// All finite poles of the pencil (G~(p), C~(p)) for the stamped sample,
-    /// sorted by increasing |s|. Bit-identical to ReducedModel::poles().
+    /// sorted by increasing |s|. On the RC lane they are s = -1/lambda for
+    /// the eigenvalues lambda of Tri (implicit QL), with imaginary parts
+    /// exactly 0; otherwise s = -1/mu for the eigenvalues mu of G~^-1 C~
+    /// (nonsymmetric QR). ReducedModel::poles() is this call on a batch of
+    /// one.
     std::vector<la::cplx> poles(RomEvalWorkspace& ws) const;
 
     /// The batched hot path: H(s_points[j], samples[i]) for the whole
     /// (samples x frequencies) grid, fanned over util::ThreadPool with
     /// deterministic contiguous chunking (`threads` is the section width).
-    /// Each worker stamps and Hessenberg-reduces a sample once and sweeps
+    /// Each worker stamps and prepares a sample once and sweeps
     /// its frequencies on reused scratch; results are bit-identical at any
     /// width.
     std::vector<std::vector<la::ZMatrix>> transfer_grid(
@@ -134,11 +177,15 @@ public:
         const std::vector<la::cplx>& s_points, int threads = 0) const;
 
 private:
-    void prepare_transfer(RomEvalWorkspace& ws) const;
+    void prepare_lane(RomEvalWorkspace& ws) const;
+    bool prepare_rc(RomEvalWorkspace& ws) const;
+    void prepare_general(RomEvalWorkspace& ws) const;
+    la::ZMatrix direct_transfer(la::cplx s, RomEvalWorkspace& ws) const;
 
     int q_ = 0;   ///< reduced order
     int np_ = 0;  ///< number of parameters
     int m_ = 0;   ///< number of ports
+    bool rc_ = false;  ///< symmetric terms and B~ == L~: the RC lane applies
     // Packed affine terms: block 0 is the nominal matrix, block i+1 the i-th
     // sensitivity, each q*q column-major — one contiguous stream per family.
     std::vector<double> g_terms_;

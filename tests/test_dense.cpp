@@ -4,6 +4,7 @@
 
 #include "la/dense.h"
 #include "la/ops.h"
+#include "reference_kernels.h"
 #include "test_helpers.h"
 
 namespace varmor::la {

@@ -22,6 +22,7 @@
 #include "la/ops.h"
 #include "la/simd.h"
 #include "la/small_dense.h"
+#include "reference_kernels.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 
@@ -189,6 +190,40 @@ void expect_dot_matches_plain_sum() {
 TEST(SimdKernels, RealDotMatchesPlainSum) { expect_dot_matches_plain_sum<double>(); }
 
 TEST(SimdKernels, ComplexDotMatchesPlainSum) { expect_dot_matches_plain_sum<zd>(); }
+
+TEST(SimdKernels, SymmetricLaneKernelsElementwisePins) {
+    // The RC lane's fused kernels: fnma2_n is bitwise two fnma_n passes,
+    // axpy_dot_n's update is bitwise axpy_n and its dot is dot1_n, and
+    // rot_n rotates each pair with separately rounded products — every
+    // element a function of its inputs alone, vector lane or tail.
+    util::Rng rng(37);
+    for (int n : {1, 3, 4, 5, 8, 11}) {
+        const auto x = random_values<double>(n, rng);
+        const auto y = random_values<double>(n, rng);
+        const auto z = random_values<double>(n, rng);
+        const double a = rng.uniform(-1.0, 1.0), b = rng.uniform(-1.0, 1.0);
+        auto fused = z, twice = z;
+        simd::fnma2_n(n, a, x.data(), b, y.data(), fused.data());
+        simd::fnma_n(n, a, x.data(), twice.data());
+        simd::fnma_n(n, b, y.data(), twice.data());
+        EXPECT_EQ(fused, twice) << "fnma2_n n=" << n;
+
+        auto updated = z, axpy = z;
+        const double dot = simd::axpy_dot_n(n, a, x.data(), y.data(), updated.data());
+        simd::axpy_n(n, a, x.data(), axpy.data());
+        EXPECT_EQ(updated, axpy) << "axpy_dot_n n=" << n;
+        EXPECT_EQ(dot, simd::dot1_n(n, x.data(), y.data())) << "axpy_dot_n n=" << n;
+
+        const double c = std::cos(a), sn = std::sin(a);
+        auto rx = x, ry = y;
+        simd::rot_n(n, c, sn, rx.data(), ry.data());
+        for (int i = 0; i < n; ++i) {
+            const auto xi = x[static_cast<std::size_t>(i)], yi = y[static_cast<std::size_t>(i)];
+            EXPECT_EQ(rx[static_cast<std::size_t>(i)], c * xi - sn * yi) << "rot_n i=" << i;
+            EXPECT_EQ(ry[static_cast<std::size_t>(i)], sn * xi + c * yi) << "rot_n i=" << i;
+        }
+    }
+}
 
 TEST(SimdKernels, PencilStampMatchesPerElementFormula) {
     util::Rng rng(31);
