@@ -69,7 +69,8 @@ int main() {
     std::printf("\nleading singular values of the M5 generalized sensitivity: ");
     for (double s : spectrum) std::printf("%.3g ", s);
     std::printf("\n(slow decay: per-layer width parameters scale whole-layer "
-                "subcircuits; see EXPERIMENTS.md)\n\n");
+                "subcircuits; see README, \"SVD ranks of the clock-tree "
+                "benches\")\n\n");
 
     checks.expect(err_adj[1] < err_adj[0] && err_adj[2] < err_adj[1],
                   "accuracy improves monotonically with the SVD rank");

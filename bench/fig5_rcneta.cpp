@@ -26,8 +26,9 @@ int main() {
     // "reduced order model of size 29 while matching the moments of s to the
     // 4th order and the rest of multi-parameter moments to the 2nd order".
     // Our per-layer width parameters scale whole-layer subcircuits, which
-    // keeps the generalized sensitivities at effective rank ~2 (see
-    // EXPERIMENTS.md), hence rank = 2 instead of the paper's rank-1.
+    // keeps the generalized sensitivities at effective rank ~2 (see README,
+    // "SVD ranks of the clock-tree benches"), hence rank = 2 instead of the
+    // paper's rank-1.
     mor::LowRankPmorOptions opts;
     opts.s_order = 4;
     opts.param_order = 2;

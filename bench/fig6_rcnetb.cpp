@@ -26,9 +26,10 @@ int main() {
     // "model of size 40 while matching all the multi-parameter moments to
     // the 3rd order". Our per-layer width parameters have slowly decaying
     // generalized-sensitivity spectra (they scale whole-layer subcircuits;
-    // see EXPERIMENTS.md), so a rank-3 approximation plays the role of the
-    // paper's rank-1. A second, high-fidelity configuration (rank 4,
-    // parameter order 4) demonstrates the paper's 0.12% headline accuracy.
+    // see README, "SVD ranks of the clock-tree benches"), so a rank-3
+    // approximation plays the role of the paper's rank-1. A second,
+    // high-fidelity configuration (rank 4, parameter order 4) demonstrates
+    // the paper's 0.12% headline accuracy.
     mor::LowRankPmorOptions opts;
     opts.s_order = 3;
     opts.param_order = 3;

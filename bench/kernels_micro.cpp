@@ -9,12 +9,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <random>
 
 #include "analysis/freq_sweep.h"
 #include "la/hessenberg.h"
 #include "la/lu_dense.h"
 #include "la/ops.h"
+#include "la/orth.h"
 #include "la/simd.h"
 #include "circuit/generators.h"
 #include "circuit/mna.h"
@@ -278,6 +280,38 @@ void BM_HessenbergSolveNaive(benchmark::State& state) {
     state.SetComplexityN(q);
 }
 BENCHMARK(BM_HessenbergSolveNaive)->Arg(20)->Arg(40)->Arg(60)->Arg(80)->Complexity();
+
+// One Gram-Schmidt projection of a vector off k orthonormal columns at
+// n = 1500, the study net's full-model Arnoldi shape (subspace 80): la::cgs2
+// against the two scalar MGS passes and the norm it replaced.
+void BM_GramSchmidt(benchmark::State& state) {
+    const int n = 1500, k = static_cast<int>(state.range(0));
+    const la::Matrix basis = la::orthonormalize(random_matrix(n, k, 29));
+    const la::Matrix w0 = random_matrix(n, 1, 31);
+    la::Vector w(n);
+    std::vector<double> coef(static_cast<std::size_t>(k)), work(coef.size());
+    for (auto _ : state) {
+        std::copy_n(w0.col_data(0), n, w.data());
+        benchmark::DoNotOptimize(la::cgs2(basis, k, w, coef.data(), work.data()));
+    }
+    state.SetComplexityN(k);
+}
+BENCHMARK(BM_GramSchmidt)->Arg(20)->Arg(40)->Arg(80)->Complexity();
+
+void BM_GramSchmidtNaive(benchmark::State& state) {
+    const int n = 1500, k = static_cast<int>(state.range(0));
+    const la::Matrix basis = la::orthonormalize(random_matrix(n, k, 29));
+    const la::Matrix w0 = random_matrix(n, 1, 31);
+    la::Vector w(n);
+    std::vector<double> coef(static_cast<std::size_t>(k));
+    for (auto _ : state) {
+        std::copy_n(w0.col_data(0), n, w.data());
+        for (int pass = 0; pass < 2; ++pass) la::mgs_pass_naive(basis, k, w, coef.data());
+        benchmark::DoNotOptimize(la::norm2(w));
+    }
+    state.SetComplexityN(k);
+}
+BENCHMARK(BM_GramSchmidtNaive)->Arg(20)->Arg(40)->Arg(80)->Complexity();
 
 void BM_DenseSubstituteBlocked(benchmark::State& state) {
     // Multi-RHS substitution through the 8-wide blocked kernel: factor once,

@@ -1,25 +1,28 @@
 #include "la/orth.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "la/ops.h"
+#include "la/simd.h"
 
 namespace varmor::la {
 
-namespace {
-
-/// Projects v onto the orthogonal complement of the columns of `basis`, in
-/// place (one modified-Gram-Schmidt pass).
-void mgs_pass(const Matrix& basis, Vector& v) {
-    for (int j = 0; j < basis.cols(); ++j) {
-        const double* q = basis.col_data(j);
-        double coef = 0;
-        for (int i = 0; i < v.size(); ++i) coef += q[i] * v[i];
-        for (int i = 0; i < v.size(); ++i) v[i] -= coef * q[i];
+double cgs2(const Matrix& basis, int k, Vector& w, double* coef, double* work,
+            double drop_tol) {
+    check(w.size() == basis.rows() && k >= 0 && k <= basis.cols(), "cgs2: shape mismatch");
+    const int n = w.size();
+    double* x = w.data();
+    const double before = norm2(w);
+    for (int pass = 0; pass < 2; ++pass) {
+        double* c = pass == 0 ? coef : work;
+        for (int j = 0; j < k; ++j) c[j] = simd::dot_n(n, basis.col_data(j), x);
+        for (int j = 0; j < k; ++j) simd::fnma_n(n, c[j], basis.col_data(j), x);
     }
+    for (int j = 0; j < k; ++j) coef[j] += work[j];
+    const double after = norm2(w);
+    return after <= drop_tol * before ? 0.0 : after;
 }
-
-}  // namespace
 
 Matrix orthonormalize(const Matrix& candidates, const OrthOptions& opts) {
     return extend_basis(Matrix(candidates.rows(), 0), candidates, opts);
@@ -31,15 +34,16 @@ Matrix extend_basis(Matrix basis, const Matrix& extra, const OrthOptions& opts) 
     else if (!extra.empty())
         check(basis.rows() == extra.rows(), "extend_basis: row mismatch");
 
+    // cgs2's coefficients and second-pass scratch, sized for the final basis.
+    const int cap = basis.cols() + extra.cols();
+    std::vector<double> coef(2 * static_cast<std::size_t>(cap));
+    Vector w(extra.rows());
     for (int j = 0; j < extra.cols(); ++j) {
-        Vector w = extra.col(j);
-        const double original = norm2(w);
-        if (original == 0.0) continue;
-        for (int pass = 0; pass < opts.reorth_passes; ++pass) mgs_pass(basis, w);
-        const double remaining = norm2(w);
-        if (remaining <= opts.drop_tol * original) continue;  // deflated
-        const double inv = 1.0 / remaining;
-        for (int i = 0; i < w.size(); ++i) w[i] *= inv;
+        std::copy_n(extra.col_data(j), extra.rows(), w.data());
+        const double remaining =
+            cgs2(basis, basis.cols(), w, coef.data(), coef.data() + cap, opts.drop_tol);
+        if (remaining == 0.0) continue;  // in the span: deflated
+        scale(w, 1.0 / remaining);
         basis.append_col(w);
     }
     return basis;

@@ -4,16 +4,32 @@
 
 namespace varmor::la {
 
+/// The default relative dependence tolerance of cgs2 (see below).
+inline constexpr double kDropTol = 1e-10;
+
 /// Options for the deflating orthonormalization used to assemble Krylov
 /// projection bases.
 struct OrthOptions {
-    /// Columns whose norm after projection falls below
-    /// drop_tol * (their original norm) are considered linearly dependent on
-    /// the basis built so far and are dropped (deflation).
-    double drop_tol = 1e-10;
-    /// Number of modified-Gram-Schmidt passes (2 = classic "twice is enough").
-    int reorth_passes = 2;
+    /// A column is linearly dependent on the basis built so far, and is
+    /// dropped (deflation), when cgs2 finds it in the span at this tolerance.
+    double drop_tol = kDropTol;
 };
+
+/// Classical Gram-Schmidt run twice (CGS2, "twice is enough"): projects w off
+/// the first k columns of the orthonormal `basis`, in place. Each pass
+/// computes c = V^T w with one simd::dot_n per column, then w -= V c with
+/// simd::fnma_n. The two passes' coefficients are summed into coef[0, k);
+/// work[0, k) holds the second pass's. Nothing is allocated, and the result
+/// depends on the shapes alone (the dot_n order), never on the caller's
+/// thread.
+///
+/// Returns the norm of w after the projection, or exactly 0 when w is in the
+/// span: when that norm is at most drop_tol times its norm before (so a zero
+/// w is in every span). This one relative rule decides deflation in
+/// extend_basis and breakdown in sparse::arnoldi_eigenvalues and
+/// sparse::truncated_svd_lanczos; the last two use kDropTol.
+double cgs2(const Matrix& basis, int k, Vector& w, double* coef, double* work,
+            double drop_tol = kDropTol);
 
 /// Orthonormalizes the columns of `candidates` against themselves, dropping
 /// linearly dependent columns. Returns a matrix with orthonormal columns

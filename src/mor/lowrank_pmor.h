@@ -81,9 +81,10 @@ struct LowRankPmorResult {
 /// Algorithm 1. Cost: ONE sparse LU of G0 plus matrix-implicit work. The
 /// triangular solves grow linearly in s_order/param_order and in the number
 /// of parameters (section 4.2). What dominates the time, though, is the
-/// dense O(n q^2) work on the n x q basis: its modified-Gram-Schmidt
-/// orthogonalization and the step-4 congruence of 2 + 2 n_p matrices. So
-/// the algorithm is not priced like one PRIMA run on the nominal system:
+/// dense O(n q^2) work on the n x q basis: its Gram-Schmidt
+/// orthogonalization (la::cgs2) and the step-4 congruence of 2 + 2 n_p
+/// matrices. So the algorithm is not priced like one PRIMA run on the
+/// nominal system:
 /// the benchmark's traced `reduce` run (perfbench, seed 1; 4-vCPU Xeon,
 /// AVX2 arm) reads mor.lowrank_over_prima = 24-25, the sum of lowrank_pmor
 /// times over the sum of nominal PRIMA times on the same factors. It read

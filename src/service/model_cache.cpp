@@ -23,7 +23,7 @@ void hash_sparse(util::Fnv1a64& h, const sparse::Csc& m) {
 CacheKey cache_key(const circuit::ParametricSystem& sys,
                    const mor::LowRankPmorOptions& opts) {
     util::Fnv1a64 h;
-    h.str("varmor-cache-key-v1");
+    h.str("varmor-cache-key-v2");
 
     // The system: dimensions, every sparsity pattern, every value bit.
     h.i32(sys.size()).i32(sys.num_ports()).i32(sys.num_params());
@@ -39,7 +39,7 @@ CacheKey cache_key(const circuit::ParametricSystem& sys,
     h.i32(opts.s_order).i32(opts.param_order).i32(opts.rank);
     h.i32(opts.include_adjoint ? 1 : 0);
     h.i32(static_cast<int>(opts.space)).i32(static_cast<int>(opts.engine));
-    h.f64(opts.orth.drop_tol).i32(opts.orth.reorth_passes);
+    h.f64(opts.orth.drop_tol);
 
     return CacheKey{h.digest()};
 }

@@ -67,8 +67,11 @@ struct QueryFallbacks {
 /// queries by exact parameter point, the policy prepares once per point
 /// group (if it stamps), then solves once per query.
 ///
-///   transfer(p, s)  ROM policy: stamp G~(p), C~(p) and Hessenberg-prepare
-///                   per point (mor::RomEvalEngine), one O(q^2) solve per s
+///   transfer(p, s)  ROM policy: stamp G~(p), C~(p) and prepare per point on
+///                   the mor::RomEvalEngine lane the model took: on the RC
+///                   lane (every RC model) one tridiagonalization per point
+///                   and one O(q*m) tridiagonal solve per s, on the general
+///                   lanes a Hessenberg or direct preparation and solve
 ///   poles(p)        ROM policy: the same stamp, the engine pole kernel
 ///   delay(p)        the forcing step (TransientBatchRunner::make_forcing,
 ///                   run at the first delay flush and kept), then one solve

@@ -5,6 +5,7 @@
 
 #include "la/eig.h"
 #include "la/ops.h"
+#include "la/orth.h"
 
 namespace varmor::sparse {
 
@@ -29,26 +30,15 @@ ArnoldiResult arnoldi_eigenvalues(const LinearOperator& op, const ArnoldiOptions
 
     int steps = m;
     Vector vk(n);  // reused start-block buffer: no per-iteration col() copies
+    std::vector<double> work(static_cast<std::size_t>(m));  // cgs2's second pass
     for (int k = 0; k < m; ++k) {
         const double* vcol = v.col_data(k);
         for (int i = 0; i < n; ++i) vk[i] = vcol[i];
         Vector w = op.apply(vk);
-        // Modified Gram-Schmidt with one reorthogonalization pass.
-        for (int pass = 0; pass < 2; ++pass) {
-            for (int j = 0; j <= k; ++j) {
-                const double* q = v.col_data(j);
-                double coef = 0;
-                for (int i = 0; i < n; ++i) coef += q[i] * w[i];
-                if (pass == 0)
-                    h(j, k) = coef;
-                else
-                    h(j, k) += coef;
-                for (int i = 0; i < n; ++i) w[i] -= coef * q[i];
-            }
-        }
-        const double wnorm = la::norm2(w);
+        // CGS2 against v_0..v_k; the coefficients land in column k of H.
+        const double wnorm = la::cgs2(v, k + 1, w, h.col_data(k), work.data());
         h(k + 1, k) = wnorm;
-        if (wnorm <= 1e-300) {  // exact invariant subspace: Ritz values are exact
+        if (wnorm == 0.0) {  // w is in the span: the subspace is invariant, exact
             steps = k + 1;
             break;
         }

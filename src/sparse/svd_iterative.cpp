@@ -13,24 +13,6 @@ using la::Matrix;
 using la::SvdResult;
 using la::Vector;
 
-namespace {
-
-/// Orthogonalizes v against the columns of basis (two MGS passes) and
-/// returns its remaining norm.
-double orthogonalize_against(const Matrix& basis, Vector& v) {
-    for (int pass = 0; pass < 2; ++pass) {
-        for (int j = 0; j < basis.cols(); ++j) {
-            const double* q = basis.col_data(j);
-            double coef = 0;
-            for (int i = 0; i < v.size(); ++i) coef += q[i] * v[i];
-            for (int i = 0; i < v.size(); ++i) v[i] -= coef * q[i];
-        }
-    }
-    return la::norm2(v);
-}
-
-}  // namespace
-
 SvdResult truncated_svd_lanczos(const LinearOperator& op, int rank,
                                 const TruncatedSvdOptions& opts) {
     check(rank >= 1, "truncated_svd_lanczos: rank must be positive");
@@ -47,6 +29,9 @@ SvdResult truncated_svd_lanczos(const LinearOperator& op, int rank,
     Matrix uu(m, 0);  // left Lanczos vectors
     Matrix vv(n, 0);  // right Lanczos vectors
     std::vector<double> alpha, beta;
+    // la::cgs2's coefficients and second-pass scratch.
+    std::vector<double> coef(2 * static_cast<std::size_t>(kmax));
+    double* work = coef.data() + kmax;
 
     // Start vector.
     Vector v(n);
@@ -55,10 +40,20 @@ SvdResult truncated_svd_lanczos(const LinearOperator& op, int rank,
 
     std::vector<double> prev_sv;
     for (int k = 0; k < kmax; ++k) {
-        // u_k = M v_k - beta_{k-1} u_{k-1}, then full reorthogonalization.
+        // u_k = M v_k - beta_{k-1} u_{k-1}, by CGS2 against every u so far.
         Vector u = op.apply(v);
-        const double unorm = orthogonalize_against(uu, u);
-        if (unorm <= 1e-300) break;  // invariant subspace exhausted
+        const double unorm = la::cgs2(uu, uu.cols(), u, coef.data(), work);
+        if (unorm == 0.0) {
+            // M v_k is in span(U): the Krylov space is exhausted. Record
+            // alpha_k = 0 and keep v_k, so beta_{k-1} stays in B; the zero u
+            // column meets only B's zero last row.
+            if (k > 0) {
+                alpha.push_back(0.0);
+                uu.append_col(Vector(m));
+                vv.append_col(v);
+            }
+            break;
+        }
         la::scale(u, 1.0 / unorm);
         alpha.push_back(unorm);
         uu.append_col(u);
@@ -89,10 +84,10 @@ SvdResult truncated_svd_lanczos(const LinearOperator& op, int rank,
         }
 
         if (k + 1 == kmax) break;
-        // v_{k+1} = M^T u_k - alpha_k v_k, full reorthogonalization.
+        // v_{k+1} = M^T u_k - alpha_k v_k, by CGS2 against every v so far.
         Vector w = op.apply_transpose(u);
-        const double wnorm = orthogonalize_against(vv, w);
-        if (wnorm <= 1e-300) break;
+        const double wnorm = la::cgs2(vv, vv.cols(), w, coef.data(), work);
+        if (wnorm == 0.0) break;  // M^T u_k is in span(V): beta_k = 0 ends B
         la::scale(w, 1.0 / wnorm);
         beta.push_back(wnorm);
         v = std::move(w);

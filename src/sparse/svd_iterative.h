@@ -16,9 +16,11 @@ struct TruncatedSvdOptions {
 };
 
 /// Rank-k truncated SVD of a matrix-free operator via Golub-Kahan-Lanczos
-/// bidiagonalization with full reorthogonalization (Larsen [15] without the
-/// partial-reorth economization — the ranks varmor needs are tiny, the paper
-/// observes rank 1 usually suffices).
+/// bidiagonalization with full reorthogonalization by la::cgs2 (Larsen [15]
+/// without the partial-reorth economization — the ranks varmor needs are
+/// tiny, the paper observes rank 1 usually suffices). It stops when a new
+/// Lanczos vector falls in the span by cgs2's relative rule: the operator's
+/// Krylov space is exhausted.
 la::SvdResult truncated_svd_lanczos(const LinearOperator& op, int rank,
                                     const TruncatedSvdOptions& opts = {});
 

@@ -138,4 +138,18 @@ inline void hessenberg_solve_naive(ZMatrix& m, ZMatrix& x) {
     }
 }
 
+/// Reference for la::cgs2: one modified Gram-Schmidt pass of v against the
+/// first k columns of `basis`, each coefficient one dependent dot-product
+/// chain. extend_basis, Arnoldi and the Lanczos SVD each ran it twice before
+/// CGS2. Adds column j's coefficient to coef[j].
+inline void mgs_pass_naive(const Matrix& basis, int k, Vector& v, double* coef) {
+    for (int j = 0; j < k; ++j) {
+        const double* q = basis.col_data(j);
+        double c = 0;
+        for (int i = 0; i < v.size(); ++i) c += q[i] * v[i];
+        coef[j] += c;
+        for (int i = 0; i < v.size(); ++i) v[i] -= c * q[i];
+    }
+}
+
 }  // namespace varmor::la

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 #include "la/orth.h"
+#include "reference_kernels.h"
 #include "test_helpers.h"
 
 namespace varmor::la {
@@ -96,6 +100,72 @@ TEST_P(OrthProperty, NearDependentColumnsStayWellConditioned) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, OrthProperty, ::testing::Values(8, 16, 32, 64, 128));
+
+Vector random_vector(int n, util::Rng& rng) {
+    Vector v(n);
+    for (int i = 0; i < n; ++i) v[i] = rng.uniform(-1, 1);
+    return v;
+}
+
+class Cgs2Kernel : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(Cgs2Kernel, MatchesTwoMgsPassesAndSumsTheCoefficients) {
+    const auto [n, k] = GetParam();
+    util::Rng rng(static_cast<std::uint64_t>(n * 131 + k));
+    const Matrix basis = orthonormalize(random_matrix(n, k, rng));
+    ASSERT_EQ(basis.cols(), k);
+    ASSERT_LE(orthonormality_error(basis), 1e-14);
+    const Vector w0 = random_vector(n, rng);
+
+    Vector w = w0;
+    std::vector<double> coef(static_cast<std::size_t>(k)), work(coef.size());
+    const double remaining = cgs2(basis, k, w, coef.data(), work.data());
+
+    Vector ref = w0;
+    std::vector<double> ref_coef(coef.size(), 0.0);
+    for (int pass = 0; pass < 2; ++pass) mgs_pass_naive(basis, k, ref, ref_coef.data());
+
+    const double tol = 1e-13 * norm2(w0);
+    for (int i = 0; i < n; ++i) EXPECT_NEAR(w[i], ref[i], tol) << "row " << i;
+    EXPECT_EQ(remaining, norm2(w));
+    const Vector vtw = matvec_transpose(basis, w0);
+    for (int j = 0; j < k; ++j) {
+        EXPECT_NEAR(coef[static_cast<std::size_t>(j)], vtw[j], tol) << "column " << j;
+        EXPECT_NEAR(coef[static_cast<std::size_t>(j)], ref_coef[static_cast<std::size_t>(j)], tol);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, Cgs2Kernel,
+                         ::testing::Values(std::make_tuple(7, 0), std::make_tuple(9, 3),
+                                           std::make_tuple(64, 20), std::make_tuple(1500, 80)));
+
+TEST(Cgs2, DependenceRuleIsRelativeToTheInputNorm) {
+    // A w within drop_tol of the span gives exactly 0 at any magnitude; an
+    // absolute threshold such as 1e-300 would call the in-span w at 1e-100
+    // independent, since its roundoff residue is about 1e-116.
+    util::Rng rng(8);
+    const int n = 40, k = 6;
+    const Matrix basis = orthonormalize(random_matrix(n, k, rng));
+    std::vector<double> coef(static_cast<std::size_t>(k)), work(coef.size());
+    Vector out = random_vector(n, rng);
+    scale(out, 1.0 / cgs2(basis, k, out, coef.data(), work.data()));  // unit, off the span
+    const Vector in = matvec(basis, random_vector(k, rng));
+    for (double magnitude : {1e-100, 1.0, 1e100}) {
+        for (double offset : {0.0, 1e-13, 1e-7}) {
+            SCOPED_TRACE(::testing::Message() << magnitude << " " << offset);
+            Vector w = in;
+            axpy(offset, out, w);
+            scale(w, magnitude);
+            const double remaining = cgs2(basis, k, w, coef.data(), work.data());
+            if (offset < kDropTol)
+                EXPECT_EQ(remaining, 0.0);
+            else
+                EXPECT_NEAR(remaining, offset * magnitude, 1e-6 * offset * magnitude);
+        }
+    }
+    Vector zero(n);  // a zero vector is in every span, the empty one too
+    EXPECT_EQ(cgs2(basis, 0, zero, coef.data(), work.data()), 0.0);
+}
 
 }  // namespace
 }  // namespace varmor::la

@@ -58,7 +58,8 @@ TEST(Poles, ReducedModelTracksFullPolesOnClockTree) {
     mor::LowRankPmorOptions opts;
     opts.s_order = 4;
     opts.param_order = 2;
-    opts.rank = 2;  // see EXPERIMENTS.md: our per-layer width parameters need rank 2
+    opts.rank = 2;  // our per-layer width parameters need rank 2: see README,
+                    // "SVD ranks of the clock-tree benches"
     mor::LowRankPmorResult r = mor::lowrank_pmor(sys, opts);
 
     const std::vector<double> p{0.15, -0.2, 0.1};

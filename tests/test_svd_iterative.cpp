@@ -123,6 +123,39 @@ TEST(TruncatedSvd, MatrixImplicitGeneralizedSensitivity) {
                     1e-7 * (expected.s[0] + 1e-30));
 }
 
+TEST(TruncatedSvd, LowRankOperatorStopsWhenItsKrylovSpaceIsExhausted) {
+    // A rank-r operator's Krylov space is exhausted after r steps: apply
+    // r + 1 lands in span(U), alpha_r = 0 ends the bidiagonalization with
+    // beta_{r-1} kept in B, and the singular values are exact.
+    for (int r = 1; r <= 2; ++r) {
+        SCOPED_TRACE(r);
+        util::Rng rng(static_cast<std::uint64_t>(10 + r));
+        const int m = 30, n = 20;
+        const Matrix a = la::matmul(random_matrix(m, r, rng), random_matrix(r, n, rng));
+        int applies = 0, transposes = 0;
+        const LinearOperator op(
+            m, n,
+            [&](const Vector& x) {
+                ++applies;
+                return la::matvec(a, x);
+            },
+            [&](const Vector& y) {
+                ++transposes;
+                return la::matvec_transpose(a, y);
+            });
+        const la::SvdResult got = truncated_svd_lanczos(op, r);
+        EXPECT_LE(applies, r + 1);
+        EXPECT_LE(transposes, r);
+        const la::SvdResult dense = la::svd(a);
+        ASSERT_EQ(static_cast<int>(got.s.size()), r);
+        for (int i = 0; i < r; ++i)
+            EXPECT_NEAR(got.s[static_cast<std::size_t>(i)], dense.s[static_cast<std::size_t>(i)],
+                        1e-12 * dense.s[0]);
+        EXPECT_LE(la::orthonormality_error(got.u), 1e-12);
+        EXPECT_LE(la::orthonormality_error(got.v), 1e-12);
+    }
+}
+
 TEST(TruncatedSvd, InvalidRankThrows) {
     util::Rng rng(7);
     LinearOperator op = dense_operator(random_matrix(4, 4, rng));
